@@ -8,8 +8,7 @@ The subthreshold system is the linear ODE
 with a Heaviside spike output z = H(v - theta) and no reset: crossing the
 threshold never modifies the state. Because the system is linear, stepping
 uses the exact closed-form matrix exponential, so traces carry no step-size
-artifacts. States are dimensionless and centered at zero; the hardware layer
-maps them onto volts around the common-mode voltage.
+artifacts. States are dimensionless and centered at zero.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import SimulationError
 
 __all__ = [
     "RafParams",
@@ -33,7 +30,14 @@ __all__ = [
     "step",
     "simulate",
     "resonance_response",
+    "SimulationError",
 ]
+
+BLOCK = 64  # steps per block of simulate's scan
+
+
+class SimulationError(RuntimeError):
+    """Numerical failure during simulation (non-finite state, divergence)."""
 
 
 @dataclass(frozen=True)
@@ -100,18 +104,23 @@ class InputSignal:
         adds its amplitude to u at the end of the step containing it.
       * ``dense``: per-step current values (state units / s), held constant
         over each step (zero-order hold, integrated exactly).
+
+    Every time, amplitude and current must be finite, and times >= 0.
     """
 
     def __init__(self, dense=None, events=None):
         self.dense = None if dense is None else np.asarray(dense, dtype=float)
-        if events:
-            events = sorted(events, key=lambda e: e[0])
-            times = [t for t, _ in events]
-            if any(t < 0 for t in times):
-                raise ValueError("event times must be >= 0")
-            self.events = [(float(t), float(a)) for t, a in events]
-        else:
-            self.events = []
+        if self.dense is not None:
+            if self.dense.ndim != 1:
+                raise ValueError(f"dense input must be 1-D, got shape {self.dense.shape}")
+            if not np.all(np.isfinite(self.dense)):
+                raise ValueError("dense input must be finite")
+        self.events = sorted(((float(t), float(a)) for t, a in events or ()),
+                             key=lambda e: e[0])
+        for t, a in self.events:
+            if not (0.0 <= t < math.inf and math.isfinite(a)):
+                raise ValueError(f"event (time, amplitude) must be finite with time >= 0, "
+                                 f"got {(t, a)!r}")
 
     @classmethod
     def zero(cls) -> "InputSignal":
@@ -172,11 +181,6 @@ class StateTrace:
     @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(1, len(self.u) + 1)
-
-    @property
-    def samples(self):
-        """Ordered (u, v, z) triples."""
-        return list(zip(self.u.tolist(), self.v.tolist(), self.z.tolist()))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -323,35 +327,121 @@ def step(state: NeuronState, params: RafParams, input_increment: float,
 
 def simulate(params: RafParams, input_signal: InputSignal, dt: float,
              n_steps: int, initial_state: NeuronState | None = None) -> StateTrace:
-    """Simulate n_steps of the neuron; deterministic given its inputs."""
+    """Simulate n_steps of the neuron; deterministic given its inputs.
+
+    Kernel: an exact blocked scan over the real 2x2 propagator M
+    (``_blocked_scan``). Blocks of BLOCK = 64 steps share one matmul with
+    the block-Toeplitz matrix of M^0..M^63, and the block start states are
+    carried with M^64. M is never diagonalised, so the defective propagator
+    of critical damping needs no special case. The block length trades the
+    matmul's work (8 * BLOCK flops per step) against the Python carry loop
+    (one iteration per block): on a 2-vCPU Xeon, of 16 to 256 steps, 64 was
+    the fastest at 100k steps and within 3% of the fastest at 13k steps.
+
+    Precision: against the per-step loop it replaced (``_loop_scan``), the
+    states agree within 1e-12 of the trace's largest |state|, Q >= 1e4 at
+    100k steps included. Only an undamped neuron run for more than about
+    20k steps drifts further, and there the loop is the less accurate side.
+    A non-finite state raises SimulationError naming the step at which the
+    per-step loop first leaves the finite range.
+    """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
     state = initial_state or NeuronState()
-    inc_u = input_signal.impulse_increments(dt, n_steps)
-    inc_v = np.zeros(n_steps)
-    currents = input_signal.dense_currents(n_steps)
-    if np.any(currents):
-        b = input_vector(params, dt)
-        inc_u = inc_u + b[0] * currents
-        inc_v = b[1] * currents
-
-    m00, m01, m10, m11 = transition_terms(
-        params.omega_u, params.omega_v, params.k_u, params.k_v, dt)
-    u, v = state.u, state.v
-    us = np.empty(n_steps)
-    vs = np.empty(n_steps)
-    zs = np.empty(n_steps, dtype=np.int8)
-    for i in range(n_steps):
-        u, v = (m00 * u + m01 * v + inc_u[i],
-                m10 * u + m11 * v + inc_v[i])
-        if not (np.isfinite(u) and np.isfinite(v)):
-            raise SimulationError(
-                f"non-finite state at step {i} with {params!r}, dt={dt!r}")
-        us[i], vs[i], zs[i] = u, v, v >= params.theta
+    m = tuple(float(x) for x in transition_terms(
+        params.omega_u, params.omega_v, params.k_u, params.k_v, dt))
+    with np.errstate(over="ignore", invalid="ignore"):
+        inc_u, inc_v = _forcing(params, input_signal, dt, n_steps)
+        us, vs = _blocked_scan(m, inc_u, inc_v, state.u, state.v)
+    finite = np.isfinite(us) & np.isfinite(vs)
+    if not finite.all():
+        # A non-finite value spreads over the kernel's whole block, and the
+        # kernel can overflow where the loop would not; the per-step loop,
+        # restarted at that block, finds the step or finishes the run.
+        start = int(np.argmin(finite)) // BLOCK * BLOCK
+        u0, v0 = (float(us[start - 1]), float(vs[start - 1])) if start else (state.u, state.v)
+        us[start:], vs[start:] = _loop_scan(m, inc_u[start:], inc_v[start:], u0, v0)
+        finite = np.isfinite(us) & np.isfinite(vs)
+        if not finite.all():
+            raise SimulationError(f"non-finite state at step {int(np.argmin(finite))} "
+                                  f"with {params!r}, dt={dt!r}")
+    zs = (vs >= params.theta).astype(np.int8)
     return StateTrace(dt=dt, u=us, v=vs, z=zs,
                       metadata={"params": params, "n_steps": n_steps})
+
+
+def _forcing(params, input_signal, dt, n_steps):
+    """Per-step additive inputs (inc_u, inc_v): impulses plus the ZOH current."""
+    inc_u = input_signal.impulse_increments(dt, n_steps)
+    currents = input_signal.dense_currents(n_steps)
+    if not np.any(currents):
+        return inc_u, np.zeros(n_steps)
+    b = input_vector(params, dt)
+    return inc_u + b[0] * currents, b[1] * currents
+
+
+def _blocked_scan(m, inc_u, inc_v, u, v):
+    """States of x[i] = M x[i-1] + (inc_u[i], inc_v[i]) from x[-1] = (u, v).
+
+    m = (m00, m01, m10, m11) holds M. Within a block of L = BLOCK steps that
+    starts from state s, x[i] = sum_{j<=i} M^(i-j) f[j] + M^(i+1) s: the
+    first term for every block is one matmul with the block-Toeplitz matrix
+    of the powers M^0..M^(L-1); the block start states follow from
+    s' = M^L s + x_forced[L-1] in a loop over the blocks.
+    """
+    L, n = BLOCK, len(inc_u)
+    n_blocks = -(-n // L)
+    m00, m01, m10, m11 = m
+    # P[k] = entries of M^k for k = 0..L, multiplied out as the loop does;
+    # row L + 1 is the zero filling the Toeplitz matrix above its diagonal.
+    P = np.zeros((L + 2, 4))
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for k in range(L + 1):
+        P[k] = a, b, c, d
+        a, b, c, d = (m00 * a + m01 * c, m00 * b + m01 * d,
+                      m10 * a + m11 * c, m10 * b + m11 * d)
+    lag = np.arange(L) - np.arange(L)[:, None]  # [j, i] = i - j
+    lag[lag < 0] = L + 1
+    # W[c*L + j, r*L + i] = M^(i-j)[r, c]: input c at step j to state r at step i
+    W = P[lag].reshape(L, L, 2, 2).transpose(3, 0, 2, 1).reshape(2 * L, 2 * L)
+
+    F = np.zeros((n_blocks, 2, L))
+    F[:, 0].flat[:n] = inc_u
+    F[:, 1].flat[:n] = inc_v
+    forced = (F.reshape(n_blocks, 2 * L) @ W).reshape(n_blocks, 2, L)
+
+    a00, a01, a10, a11 = P[L].tolist()
+    starts = []
+    for fu, fv in zip(forced[:, 0, -1].tolist(), forced[:, 1, -1].tolist()):
+        starts.append((u, v))
+        u, v = a00 * u + a01 * v + fu, a10 * u + a11 * v + fv
+    S = np.array(starts)
+    su, sv = S[:, :1], S[:, 1:]
+    q00, q01, q10, q11 = P[1:L + 1].T  # entries of M^(i+1)
+    # (M s) + f, the loop's order of operations
+    us = su * q00 + sv * q01
+    us += forced[:, 0]
+    vs = su * q10 + sv * q11
+    vs += forced[:, 1]
+    return us.reshape(-1)[:n], vs.reshape(-1)[:n]
+
+
+def _loop_scan(m, inc_u, inc_v, u, v):
+    """Reference for _blocked_scan: the recurrence one step per iteration.
+
+    States after the first non-finite one are left NaN.
+    """
+    m00, m01, m10, m11 = m
+    us = np.full(len(inc_u), np.nan)
+    vs = np.full(len(inc_u), np.nan)
+    for i, (fu, fv) in enumerate(zip(inc_u.tolist(), inc_v.tolist())):
+        u, v = m00 * u + m01 * v + fu, m10 * u + m11 * v + fv
+        us[i], vs[i] = u, v
+        if not (math.isfinite(u) and math.isfinite(v)):
+            break
+    return us, vs
 
 
 def resonance_response(params: RafParams, drive_frequency: float,

@@ -5,6 +5,7 @@ fine-step forward Euler products, scipy.linalg.expm, numerical quadrature
 of the input integral, and FFT/cross-correlation trace analysis.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,19 +16,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rafsim.core import (
+    BLOCK,
     InputSignal,
     NeuronState,
     RafParams,
     SimulationError,
     StateTrace,
+    _forcing,
+    _loop_scan,
     input_vector,
     resonance_response,
     simulate,
     step,
     transition_matrix,
+    transition_terms,
 )
 
 TWO_PI = 2.0 * math.pi
+# simulate's blocked scan against the per-step reference loop, as a share of
+# the trace's largest |state|
+SCAN_RTOL = 1e-12
 
 
 def a_matrix(p: RafParams) -> np.ndarray:
@@ -55,6 +63,42 @@ def raf_params(draw, allow_overdamped=True):
         skew = draw(st.floats(0.5, 2.0))
         tau_u, tau_v = tau * skew, tau / skew
     return RafParams(omega_u=omega_u, omega_v=omega_v, tau_u=tau_u, tau_v=tau_v)
+
+
+def critical_omega(w: float) -> float:
+    """Nudge w until tau_u = 1/(2w) gives disc == 0 exactly (tau_v = inf)."""
+    while 1.0 / (1.0 / (2.0 * w)) != 2.0 * w:
+        w = math.nextafter(w, math.inf)
+    return w
+
+
+def loop_reference(p, signal, dt, n_steps, state=NeuronState()):
+    """(u, v) of the per-step reference loop on simulate's own forcing."""
+    m = tuple(float(x) for x in transition_terms(p.omega_u, p.omega_v, p.k_u, p.k_v, dt))
+    return _loop_scan(m, *_forcing(p, signal, dt, n_steps), state.u, state.v)
+
+
+def assert_matches_loop(p, signal, dt, n_steps, state=NeuronState()):
+    ref_u, ref_v = loop_reference(p, signal, dt, n_steps, state)
+    tol = SCAN_RTOL * max(np.abs(ref_u).max(), np.abs(ref_v).max())
+    # a threshold sitting exactly on a state is the hardest case for the flags
+    p = dataclasses.replace(p, theta=float(ref_v[n_steps // 2]))
+    trace = simulate(p, signal, dt, n_steps, initial_state=state)
+    assert np.abs(trace.u - ref_u).max() <= tol
+    assert np.abs(trace.v - ref_v).max() <= tol
+    flipped = trace.z != (ref_v >= p.theta)
+    assert np.all(np.abs(ref_v[flipped] - p.theta) <= tol)
+
+
+def mixed_input(p, dt, n_steps, seed):
+    """A dense drive near resonance plus impulses, a quarter on step boundaries."""
+    rng = np.random.default_rng(seed)
+    w = max(math.sqrt(p.omega_u * p.omega_v), p.k_u, p.k_v, 1.0)
+    t = (np.arange(n_steps) + 0.5) * dt
+    dense = w * (np.sin(w * t) + 0.2 * rng.normal(size=n_steps))
+    times = rng.uniform(0.0, n_steps * dt, size=n_steps // 5 + 1)
+    times[::4] = rng.integers(0, n_steps, size=times[::4].size) * dt
+    return InputSignal(dense=dense, events=list(zip(times, rng.normal(size=times.size))))
 
 
 class TestTransitionMatrix:
@@ -308,6 +352,76 @@ class TestSimulate:
             simulate(p, InputSignal.from_dense(np.ones(5)), 1e-3, 10)
 
 
+class TestScanKernel:
+    """simulate's blocked scan against the per-step loop it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(raf_params(), st.floats(0.001, 0.5), st.integers(1, 4 * BLOCK + 3),
+           st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1))
+    def test_matches_loop(self, p, cycles_per_step, n_steps, u0, v0, seed):
+        dt = cycles_per_step / max(p.resonance_frequency, p.k_u, p.k_v, 1.0)
+        assert_matches_loop(p, mixed_input(p, dt, n_steps, seed), dt, n_steps,
+                            NeuronState(u0, v0))
+
+    @pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 20_000])
+    def test_block_edges(self, n_steps):
+        p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
+        dt = 1.0 / (64 * 250)
+        assert_matches_loop(p, mixed_input(p, dt, n_steps, n_steps), dt, n_steps,
+                            NeuronState(0.4, -0.7))
+
+    def test_high_q_long_trace(self):
+        # Q = 1e4 at f0 = 100 kHz and 4096 steps per cycle over 100k steps
+        f0 = 1e5
+        w = TWO_PI * f0
+        tau = 2.0 * 1e4 / w
+        p = RafParams(omega_u=w, omega_v=w, tau_u=tau, tau_v=tau)
+        dt = 1.0 / (4096 * f0)
+        assert_matches_loop(p, mixed_input(p, dt, 100_000, 1), dt, 100_000,
+                            NeuronState(0.3, -0.1))
+
+    @pytest.mark.parametrize("rel", [0.0, 1e-9, -1e-9, 1e-5, -1e-5])
+    def test_critical_and_near_critical(self, rel):
+        w = critical_omega(TWO_PI * 377.0)
+        p = RafParams(omega_u=w * (1.0 + rel), omega_v=w, tau_u=1.0 / (2.0 * w))
+        delta = 0.5 * (p.k_u - p.k_v)
+        disc = p.omega_u * p.omega_v - delta * delta
+        assert (disc == 0.0) == (rel == 0.0)
+        dt = 1e-4
+        assert_matches_loop(p, mixed_input(p, dt, 20_000, 2), dt, 20_000,
+                            NeuronState(0.5, 0.2))
+
+    def test_overdamped(self):
+        p = RafParams(omega_u=TWO_PI * 10, omega_v=TWO_PI * 10, tau_u=1e-4, tau_v=1.0)
+        assert p.resonance_frequency == 0.0
+        dt = 5e-4
+        assert_matches_loop(p, mixed_input(p, dt, 20_000, 3), dt, 20_000,
+                            NeuronState(1.0, -1.0))
+
+    def test_kernel_overflow_the_loop_avoids_is_repaired(self):
+        # Summed within the block first, the two impulses overflow; added to
+        # the state one at a time, they do not.
+        p = RafParams(omega_u=0.0, omega_v=0.0)
+        signal = InputSignal(events=[(70.0, 1e308), (71.0, 1e308)])
+        trace = simulate(p, signal, 1.0, 100, initial_state=NeuronState(-1e308, 0.0))
+        ref_u, ref_v = loop_reference(p, signal, 1.0, 100, NeuronState(-1e308, 0.0))
+        assert np.all(np.isfinite(ref_u))
+        np.testing.assert_array_equal(trace.u, ref_u)
+        np.testing.assert_array_equal(trace.v, ref_v)
+
+    @pytest.mark.parametrize("p, dt, current, failing_step", [
+        (RafParams(omega_u=0.0, omega_v=0.0), 1.0, 0.6e308, 102),  # M = I
+        (RafParams(omega_u=0.3, omega_v=0.3, tau_u=50.0), 1.0, 1e308, 101),
+        # b[0] * current overflows to inf, which the matmul spreads over the block
+        (RafParams(omega_u=0.0, omega_v=0.0), 2.0, 1e308, 100),
+    ])
+    def test_error_names_the_first_non_finite_step(self, p, dt, current, failing_step):
+        currents = np.zeros(200)
+        currents[100:] = current
+        with pytest.raises(SimulationError, match=f"at step {failing_step} "):
+            simulate(p, InputSignal.from_dense(currents), dt, 200)
+
+
 class TestResonanceResponse:
     def test_sweep_peaks_near_resonance(self):
         f0 = 200.0
@@ -362,6 +476,20 @@ class TestTypesAndValidation:
         sig = InputSignal.from_events([(0.5e-3, 2.0), (0.0, 1.0)])
         inc = sig.impulse_increments(1e-3, 10)
         assert inc[0] == 3.0  # both events land in the first step
+
+    @pytest.mark.parametrize("kwargs", [
+        {"dense": [1.0, math.inf]},
+        {"dense": [1.0, math.nan]},
+        {"dense": [[1.0, 2.0], [3.0, 4.0]]},
+        {"events": [(math.nan, 1.0)]},
+        {"events": [(math.inf, 1.0)]},
+        {"events": [(0.0, math.inf)]},
+        {"events": [(0.0, math.nan)]},
+    ], ids=["dense-inf", "dense-nan", "dense-2d", "time-nan", "time-inf",
+            "amplitude-inf", "amplitude-nan"])
+    def test_input_signal_rejects_non_finite_or_misshapen_input(self, kwargs):
+        with pytest.raises(ValueError):
+            InputSignal(**kwargs)
 
     def test_trace_csv_roundtrip(self, tmp_path):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100,
