@@ -13,7 +13,6 @@ artifacts. States are dimensionless and centered at zero.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -100,8 +99,9 @@ class InputSignal:
     """Input current I_u(t) driving the u state.
 
     Two representations, which may be combined:
-      * ``events``: sparse weighted impulses (time, amplitude); each impulse
-        adds its amplitude to u at the end of the step containing it.
+      * ``events``: sparse weighted impulses, an (N, 2) array of (time,
+        amplitude) rows stably sorted by time; each impulse adds its
+        amplitude to u at the end of the step containing it.
       * ``dense``: per-step current values (state units / s), held constant
         over each step (zero-order hold, integrated exactly).
 
@@ -115,36 +115,34 @@ class InputSignal:
                 raise ValueError(f"dense input must be 1-D, got shape {self.dense.shape}")
             if not np.all(np.isfinite(self.dense)):
                 raise ValueError("dense input must be finite")
-        self.events = sorted(((float(t), float(a)) for t, a in events or ()),
-                             key=lambda e: e[0])
-        for t, a in self.events:
-            if not (0.0 <= t < math.inf and math.isfinite(a)):
-                raise ValueError(f"event (time, amplitude) must be finite with time >= 0, "
-                                 f"got {(t, a)!r}")
-
-    @classmethod
-    def zero(cls) -> "InputSignal":
-        return cls()
-
-    @classmethod
-    def from_dense(cls, currents) -> "InputSignal":
-        return cls(dense=currents)
-
-    @classmethod
-    def from_events(cls, events) -> "InputSignal":
-        return cls(events=events)
+        events = () if events is None else events
+        ev = np.array(events, dtype=float).reshape(len(events), 2)  # (time, amplitude) rows
+        ok = np.isfinite(ev).all(axis=1) & (ev[:, 0] >= 0.0)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValueError(f"event {i} (time, amplitude) must be finite with time >= 0, "
+                             f"got {tuple(ev[i].tolist())!r}")
+        self.events = ev[np.argsort(ev[:, 0], kind="stable")]
 
     @classmethod
     def impulse(cls, amplitude: float, time: float = 0.0) -> "InputSignal":
         return cls(events=[(time, amplitude)])
 
     def impulse_increments(self, dt: float, n_steps: int) -> np.ndarray:
-        """Per-step impulse amounts; an event at t lands in step floor(t/dt)."""
-        inc = np.zeros(n_steps)
-        for t, amp in self.events:
-            idx = min(int(t / dt), n_steps - 1)
-            inc[idx] += amp
-        return inc
+        """Per-step impulse amounts; an event at t lands in step floor(t/dt).
+
+        Amplitudes landing in one step are added in time order, ties in the
+        order given. An event at or past the horizon n_steps*dt is an error.
+        """
+        if not len(self.events):
+            return np.zeros(n_steps)
+        steps = self.events[:, 0] / dt
+        if steps[-1] >= n_steps:
+            t = float(self.events[-1, 0])
+            raise ValueError(f"event at time {t!r} is at or past the horizon "
+                             f"{n_steps} * {dt!r} = {n_steps * dt!r}")
+        return np.bincount(steps.astype(np.int64), weights=self.events[:, 1],
+                           minlength=n_steps)
 
     def dense_currents(self, n_steps: int) -> np.ndarray:
         if self.dense is None:
@@ -183,16 +181,18 @@ class StateTrace:
         return self.dt * np.arange(1, len(self.u) + 1)
 
     def to_csv(self, path) -> None:
+        """Write columns t, u, v, z; floats as repr, so they re-read exactly."""
+        columns = (self.times.tolist(), np.asarray(self.u, dtype=float).tolist(),
+                   np.asarray(self.v, dtype=float).tolist(),
+                   np.asarray(self.z, dtype=np.int64).tolist())
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "u", "v", "z"])
-            for t, u, v, z in zip(self.times, self.u, self.v, self.z):
-                writer.writerow([repr(float(t)), repr(float(u)), repr(float(v)), int(z)])
+            fh.write("t,u,v,z\n")
+            fh.writelines(f"{t!r},{u!r},{v!r},{z}\n" for t, u, v, z in zip(*columns))
 
     @classmethod
     def from_csv(cls, path, metadata=None) -> "StateTrace":
-        rows = np.genfromtxt(path, delimiter=",", skip_header=1)
-        rows = np.atleast_2d(rows)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        # t = (i+1)*dt, so t[1] - t[0] = 2*dt - dt is exact (Sterbenz)
         dt = rows[0, 0] if len(rows) == 1 else rows[1, 0] - rows[0, 0]
         return cls(dt=float(dt), u=rows[:, 1], v=rows[:, 2],
                    z=rows[:, 3].astype(int), metadata=metadata or {})
@@ -201,58 +201,49 @@ class StateTrace:
 def transition_terms(omega_u, omega_v, k_u, k_v, dt):
     """Entries (m00, m01, m10, m11) of exp(A*dt) for A = [[-k_u, -omega_v], [omega_u, -k_v]].
 
-    Closed form via A = mu*I + N with N*N = -disc*I: disc > 0 gives damped
-    rotation, disc < 0 real (overdamped) modes, disc = 0 the critical limit.
-    The overdamped branch is evaluated through exp((mu +- lam)*dt), whose
-    arguments are never positive, so no intermediate overflows. Works
+    Closed form exp(A*dt) = env * (C*I + S*N) via A = mu*I + N with
+    N*N = -disc*I: disc > 0 gives damped rotation, disc < 0 real
+    (overdamped) modes, disc = 0 the critical limit. The envelope env is
+    applied last, so C and S stay normal numbers where the entries are
+    subnormal. The overdamped branch takes env = exp((mu + lam)*dt), whose
+    exponent is never positive, so no intermediate overflows. Works
     elementwise on arrays.
     """
     ou, ov, ku, kv = np.broadcast_arrays(
         np.asarray(omega_u, dtype=float), np.asarray(omega_v, dtype=float),
         np.asarray(k_u, dtype=float), np.asarray(k_v, dtype=float))
     shape = ou.shape
-    ou, ov, ku, kv = (np.atleast_1d(x).astype(float).ravel()
-                      for x in (ou, ov, ku, kv))
+    ou, ov, ku, kv = (np.atleast_1d(x).ravel() for x in (ou, ov, ku, kv))
     with np.errstate(over="ignore", invalid="ignore"):
         mu = -0.5 * (ku + kv)
         delta = 0.5 * (ku - kv)
         disc = ou * ov - delta * delta
 
-        # EC = exp(mu*dt)*c(dt), ES = exp(mu*dt)*s(dt), c/s the branch kernels
-        EC = np.empty_like(mu)
-        ES = np.empty_like(mu)
+        env = np.exp(mu * dt)
+        C = np.empty_like(mu)  # stays NaN where disc is NaN
+        C.fill(np.nan)
+        S = C.copy()
         osc = disc > 0.0
         if osc.any():
             om = np.sqrt(disc[osc])
-            env = np.exp(mu[osc] * dt)
-            EC[osc] = env * np.cos(om * dt)
-            ES[osc] = env * np.sin(om * dt) / om
+            C[osc] = np.cos(om * dt)
+            S[osc] = np.sin(om * dt) / om
         over = disc < 0.0
         if over.any():
-            lam = np.sqrt(-disc[over])
-            m = mu[over]
-            ep = np.exp((m + lam) * dt)  # lam <= |mu|: both exponents <= 0
-            em = np.exp((m - lam) * dt)
-            EC[over] = 0.5 * (ep + em)
-            es = np.empty_like(lam)
-            small = lam * dt < 0.5
-            if small.any():
-                es[small] = (np.exp(m[small] * dt)
-                             * np.sinh(lam[small] * dt) / lam[small])
-            big = ~small
-            if big.any():
-                es[big] = (ep[big] - em[big]) / (2.0 * lam[big])
-            ES[over] = es
+            lam = np.sqrt(-disc[over])  # lam <= |mu|
+            em = np.expm1(-2.0 * lam * dt)
+            env[over] = np.exp((mu[over] + lam) * dt)
+            C[over] = 1.0 + 0.5 * em  # cosh(lam*dt) * exp(-lam*dt)
+            S[over] = -em / (2.0 * lam)  # sinh(lam*dt) / lam * exp(-lam*dt)
         crit = disc == 0.0
         if crit.any():
-            env = np.exp(mu[crit] * dt)
-            EC[crit] = env
-            ES[crit] = env * dt
+            C[crit] = 1.0
+            S[crit] = dt
 
-        m00 = (EC - delta * ES).reshape(shape)
-        m01 = (-ov * ES).reshape(shape)
-        m10 = (ou * ES).reshape(shape)
-        m11 = (EC + delta * ES).reshape(shape)
+        m00 = (env * (C - delta * S)).reshape(shape)
+        m01 = (env * (-ov * S)).reshape(shape)
+        m10 = (env * (ou * S)).reshape(shape)
+        m11 = (env * (C + delta * S)).reshape(shape)
     return m00, m01, m10, m11
 
 
@@ -312,12 +303,12 @@ def step(state: NeuronState, params: RafParams, input_increment: float,
     """
     m00, m01, m10, m11 = transition_terms(
         params.omega_u, params.omega_v, params.k_u, params.k_v, dt)
-    u = m00 * state.u + m01 * state.v + input_increment
-    v = m10 * state.u + m11 * state.v
+    fu, fv = input_increment, 0.0  # the forcing, summed first as in _forcing
     if hold_current != 0.0:
         b = input_vector(params, dt)
-        u = u + b[0] * hold_current
-        v = v + b[1] * hold_current
+        fu, fv = input_increment + b[0] * hold_current, b[1] * hold_current
+    u = m00 * state.u + m01 * state.v + fu
+    v = m10 * state.u + m11 * state.v + fv
     if not (np.isfinite(u) and np.isfinite(v)):
         raise SimulationError(
             f"non-finite state ({u!r}, {v!r}) after step with {params!r}, dt={dt!r}")
@@ -460,6 +451,6 @@ def resonance_response(params: RafParams, drive_frequency: float,
     n_steps = max(int(round(duration / dt)), 2)
     t_mid = (np.arange(n_steps) + 0.5) * dt
     currents = drive_amplitude * np.sin(2.0 * math.pi * drive_frequency * t_mid)
-    trace = simulate(params, InputSignal.from_dense(currents), dt, n_steps)
+    trace = simulate(params, InputSignal(dense=currents), dt, n_steps)
     steady = trace.v[int(0.6 * n_steps):]
     return float(np.max(np.abs(steady)))

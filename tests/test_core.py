@@ -139,8 +139,19 @@ class TestTransitionMatrix:
     def test_semigroup_property(self, p, dt):
         whole = transition_matrix(p, dt)
         half = transition_matrix(p, dt / 2)
+        # a subnormal entry is stored only to 2**-1074 absolute
         np.testing.assert_allclose(half @ half, whole, rtol=1e-9,
-                                   atol=1e-9 * np.abs(whole).max())
+                                   atol=max(1e-9 * np.abs(whole).max(), 4 * 2.0**-1074))
+
+    def test_subnormal_entries_keep_relative_precision(self):
+        # overdamped, with every entry of exp(A*dt) near 1e-310
+        p = RafParams(omega_u=423317.04, omega_v=423317.04, tau_u=5.9e-7, tau_v=2.36e-6)
+        dt = 1.217e-3
+        whole = transition_matrix(p, dt)
+        half = transition_matrix(p, dt / 2).astype(np.longdouble)
+        assert np.all(np.abs(whole) < 1e-308)
+        # squared in extended range, where the product stays normal
+        np.testing.assert_allclose(whole, half @ half, rtol=1e-11, atol=0)
 
     def test_rejects_bad_dt(self):
         p = RafParams(omega_u=1.0, omega_v=1.0)
@@ -234,12 +245,14 @@ class TestStep:
         state, _ = step(NeuronState(0.0, 0.0), p, 0.7, 1e-3)
         assert (state.u, state.v) == (0.7, 0.0)
 
-    def test_hold_current_matches_dense_simulate(self):
-        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=20e-3,
-                      tau_v=20e-3)
-        state, _ = step(NeuronState(0.1, -0.2), p, 0.0, 1e-4, hold_current=3.0)
-        trace = simulate(p, InputSignal.from_dense([3.0]), 1e-4, 1,
-                         initial_state=NeuronState(0.1, -0.2))
+    @settings(max_examples=200, deadline=None)
+    @given(raf_params(), st.floats(1e-6, 1e-2), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+           st.sampled_from([0.0, 0.7, -1e-3]), st.sampled_from([0.0, 3.0, -250.0]))
+    def test_hold_current_matches_dense_simulate(self, p, dt, u0, v0, impulse, current):
+        # the impulse and the held current are summed before they meet M x
+        state, _ = step(NeuronState(u0, v0), p, impulse, dt, hold_current=current)
+        trace = simulate(p, InputSignal(dense=[current], events=[(0.0, impulse)]), dt, 1,
+                         initial_state=NeuronState(u0, v0))
         assert state.u == trace.u[0] and state.v == trace.v[0]
 
 
@@ -247,7 +260,7 @@ class TestSimulate:
     def test_zero_input_zero_state_is_all_zero(self):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=10e-3,
                       tau_v=10e-3)
-        trace = simulate(p, InputSignal.zero(), 1e-4, 100)
+        trace = simulate(p, InputSignal(), 1e-4, 100)
         assert np.all(trace.u == 0.0) and np.all(trace.v == 0.0)
         assert np.all(trace.z == 0)
 
@@ -279,7 +292,7 @@ class TestSimulate:
         p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 300,
                       tau_u=tau, tau_v=tau)
         dt = 1e-5
-        trace = simulate(p, InputSignal.zero(), dt, 2000,
+        trace = simulate(p, InputSignal(), dt, 2000,
                          initial_state=NeuronState(0.6, -0.3))
         norms = np.hypot(trace.u, trace.v)
         expected = math.hypot(0.6, -0.3) * np.exp(-trace.times / tau)
@@ -311,9 +324,9 @@ class TestSimulate:
         rng = np.random.default_rng(7)
         in1 = rng.normal(size=n)
         in2 = rng.normal(size=n)
-        t_a = simulate(p, InputSignal.from_dense(in1), dt, n)
-        t_b = simulate(p, InputSignal.from_dense(in2), dt, n)
-        t_ab = simulate(p, InputSignal.from_dense(a * in1 + b * in2), dt, n)
+        t_a = simulate(p, InputSignal(dense=in1), dt, n)
+        t_b = simulate(p, InputSignal(dense=in2), dt, n)
+        t_ab = simulate(p, InputSignal(dense=a * in1 + b * in2), dt, n)
         scale = max(np.abs(t_ab.u).max(), np.abs(t_ab.v).max(), 1e-30)
         np.testing.assert_allclose(t_ab.u, a * t_a.u + b * t_b.u,
                                    rtol=1e-9, atol=1e-9 * scale)
@@ -333,9 +346,9 @@ class TestSimulate:
     def test_step_semigroup_on_traces(self):
         p = RafParams(omega_u=TWO_PI * 150, omega_v=TWO_PI * 150,
                       tau_u=40e-3, tau_v=40e-3)
-        coarse = simulate(p, InputSignal.zero(), 2e-4, 100,
+        coarse = simulate(p, InputSignal(), 2e-4, 100,
                           initial_state=NeuronState(1.0, 0.0))
-        fine = simulate(p, InputSignal.zero(), 1e-4, 200,
+        fine = simulate(p, InputSignal(), 1e-4, 200,
                         initial_state=NeuronState(1.0, 0.0))
         np.testing.assert_allclose(coarse.u, fine.u[1::2], rtol=1e-9,
                                    atol=1e-9)
@@ -345,11 +358,11 @@ class TestSimulate:
     def test_rejects_bad_args(self):
         p = RafParams(omega_u=1.0, omega_v=1.0)
         with pytest.raises(ValueError):
-            simulate(p, InputSignal.zero(), 1e-3, 0)
+            simulate(p, InputSignal(), 1e-3, 0)
         with pytest.raises(ValueError):
-            simulate(p, InputSignal.zero(), -1e-3, 10)
+            simulate(p, InputSignal(), -1e-3, 10)
         with pytest.raises(ValueError):
-            simulate(p, InputSignal.from_dense(np.ones(5)), 1e-3, 10)
+            simulate(p, InputSignal(dense=np.ones(5)), 1e-3, 10)
 
 
 class TestScanKernel:
@@ -419,7 +432,7 @@ class TestScanKernel:
         currents = np.zeros(200)
         currents[100:] = current
         with pytest.raises(SimulationError, match=f"at step {failing_step} "):
-            simulate(p, InputSignal.from_dense(currents), dt, 200)
+            simulate(p, InputSignal(dense=currents), dt, 200)
 
 
 class TestResonanceResponse:
@@ -471,11 +484,37 @@ class TestTypesAndValidation:
             NeuronState(math.nan, 0.0)
 
     def test_input_signal_validation(self):
-        with pytest.raises(ValueError):
-            InputSignal.from_events([(-1.0, 0.5)])
-        sig = InputSignal.from_events([(0.5e-3, 2.0), (0.0, 1.0)])
+        with pytest.raises(ValueError, match=r"event 1 .*\(-1\.0, 0\.5\)"):
+            InputSignal(events=[(0.0, 1.0), (-1.0, 0.5)])
+        sig = InputSignal(events=[(0.5e-3, 2.0), (0.0, 1.0)])
         inc = sig.impulse_increments(1e-3, 10)
         assert inc[0] == 3.0  # both events land in the first step
+
+    def test_events_at_or_past_the_horizon_are_rejected(self):
+        dt, n_steps = 0.25, 8  # the horizon n_steps * dt = 2.0 is exact
+        inside = InputSignal(events=[(0.0, 1.0), (math.nextafter(2.0, 0.0), 1.0)])
+        assert inside.impulse_increments(dt, n_steps)[-1] == 1.0
+        for t in (2.0, 5.0):
+            sig = InputSignal(events=[(0.0, 1.0), (t, 1.0)])
+            with pytest.raises(ValueError, match=f"time {t!r} is at or past the horizon"):
+                sig.impulse_increments(dt, n_steps)
+            with pytest.raises(ValueError, match="horizon"):
+                simulate(RafParams(omega_u=1.0, omega_v=1.0), sig, dt, n_steps)
+
+    def test_coincident_events_out_of_order_match_in_order_loop(self):
+        rng = np.random.default_rng(11)
+        dt, n_steps = 1e-4, 50
+        # few distinct times, on and between step boundaries, and amplitudes
+        # whose sum depends on the order they are added in
+        times = rng.choice(np.concatenate([np.arange(n_steps) * dt,
+                                           (np.arange(n_steps) + 0.37) * dt]), size=2000)
+        amps = rng.choice([1e16, -1e16, 1.0, 3.0, -0.5], size=times.size)
+        events = list(zip(times.tolist(), amps.tolist()))
+        ref = np.zeros(n_steps)
+        for t, a in sorted(events, key=lambda e: e[0]):
+            ref[int(t / dt)] += a
+        inc = InputSignal(events=events).impulse_increments(dt, n_steps)
+        np.testing.assert_array_equal(inc, ref)
 
     @pytest.mark.parametrize("kwargs", [
         {"dense": [1.0, math.inf]},
@@ -485,8 +524,9 @@ class TestTypesAndValidation:
         {"events": [(math.inf, 1.0)]},
         {"events": [(0.0, math.inf)]},
         {"events": [(0.0, math.nan)]},
+        {"events": [(0.0, 1.0, 2.0)]},
     ], ids=["dense-inf", "dense-nan", "dense-2d", "time-nan", "time-inf",
-            "amplitude-inf", "amplitude-nan"])
+            "amplitude-inf", "amplitude-nan", "event-triple"])
     def test_input_signal_rejects_non_finite_or_misshapen_input(self, kwargs):
         with pytest.raises(ValueError):
             InputSignal(**kwargs)
@@ -501,4 +541,14 @@ class TestTypesAndValidation:
         np.testing.assert_array_equal(loaded.u, trace.u)
         np.testing.assert_array_equal(loaded.v, trace.v)
         np.testing.assert_array_equal(loaded.z, trace.z)
-        assert loaded.dt == pytest.approx(trace.dt, rel=1e-12)
+        assert loaded.dt == trace.dt
+
+    def test_trace_csv_roundtrip_one_row(self, tmp_path):
+        trace = StateTrace(dt=0.1, u=np.array([0.1 + 0.2]), v=np.array([-1e-300]),
+                           z=np.array([1], dtype=np.int8))
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        assert path.read_text() == "t,u,v,z\n0.1,0.30000000000000004,-1e-300,1\n"
+        loaded = StateTrace.from_csv(path)
+        assert (loaded.dt, loaded.u.tolist(), loaded.v.tolist(), loaded.z.tolist()) == (
+            0.1, [0.1 + 0.2], [-1e-300], [1])
