@@ -13,7 +13,9 @@ artifacts. States are dimensionless and centered at zero.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +39,11 @@ BLOCK = 64  # steps per block of simulate's scan
 
 class SimulationError(RuntimeError):
     """Numerical failure during simulation (non-finite state, divergence)."""
+
+
+def _check_dt(dt):
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
 
 
 @dataclass(frozen=True)
@@ -168,10 +175,12 @@ class StateTrace:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
+        _check_dt(self.dt)
         if len(self.u) == 0:
             raise ValueError("trace must be nonempty")
+        if not len(self.u) == len(self.v) == len(self.z):
+            raise ValueError(f"u, v and z must have equal lengths, "
+                             f"got {len(self.u)}, {len(self.v)} and {len(self.z)}")
 
     def __len__(self):
         return len(self.u)
@@ -249,8 +258,7 @@ def transition_terms(omega_u, omega_v, k_u, k_v, dt):
 
 def transition_matrix(params: RafParams, dt: float) -> np.ndarray:
     """Exact one-step propagator exp(A*dt) as a 2x2 array."""
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
+    _check_dt(dt)
     m00, m01, m10, m11 = transition_terms(
         params.omega_u, params.omega_v, params.k_u, params.k_v, dt)
     mat = np.array([[m00, m01], [m10, m11]], dtype=float)
@@ -267,8 +275,7 @@ def input_vector(params: RafParams, dt: float) -> np.ndarray:
     series at a halved step, then doubled via G(2h) = (I + exp(A*h)) @ G(h).
     Immune to the singular-A corner cases of the eigenvalue formulas.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
+    _check_dt(dt)
     A = np.array([[-params.k_u, -params.omega_v],
                   [params.omega_u, -params.k_v]], dtype=float)
     scale = np.max(np.abs(A)) * dt
@@ -301,6 +308,7 @@ def step(state: NeuronState, params: RafParams, input_increment: float,
     The spike flag is v >= theta evaluated on the new state; the state
     itself is never reset.
     """
+    _check_dt(dt)
     m00, m01, m10, m11 = transition_terms(
         params.omega_u, params.omega_v, params.k_u, params.k_v, dt)
     fu, fv = input_increment, 0.0  # the forcing, summed first as in _forcing
@@ -316,9 +324,76 @@ def step(state: NeuronState, params: RafParams, input_increment: float,
     return new_state, bool(new_state.v >= params.theta)
 
 
+@dataclass(frozen=True, eq=False)
+class Propagator:
+    """What simulate's scan needs of M = exp(A*dt) for one set of rates and dt.
+
+    m: the entries (m00, m01, m10, m11) of M.
+    powers: (BLOCK + 1, 4) array; row k holds the entries of M^k, multiplied
+        out as the per-step loop does.
+    W: the (2*BLOCK, 2*BLOCK) block-Toeplitz matrix of M^0..M^(BLOCK-1);
+        W[c*L + j, r*L + i] = M^(i-j)[r, c] carries input c at step j of a
+        block to state r at step i.
+    The zero-order-hold vector b is computed on first use (``input_vector``),
+    so a run without a current never computes it.
+    """
+
+    dt: float
+    m: tuple
+    powers: np.ndarray
+    W: np.ndarray
+    _b: list = field(default_factory=list, repr=False)  # [] until b is computed
+
+    def input_vector(self, params: RafParams) -> tuple:
+        """(b0, b1) = input_vector(params, dt) for params with these rates, computed once."""
+        if not self._b:
+            self._b.append(tuple(input_vector(params, self.dt).tolist()))
+        return self._b[0]
+
+
+@functools.lru_cache(maxsize=8)  # 8 W matrices of 128 KiB: 1 MiB in all
+def _build_propagator(omega_u, omega_v, k_u, k_v, dt) -> Propagator:
+    """The Propagator of the given rates at step dt, memoised.
+
+    theta does not enter M, so neurons that differ only in their threshold
+    share one entry. A non-finite M is kept, and simulate reports the step
+    where the state first leaves the finite range.
+    """
+    _check_dt(dt)
+    L = BLOCK
+    m = tuple(float(x) for x in transition_terms(omega_u, omega_v, k_u, k_v, dt))
+    m00, m01, m10, m11 = m
+    # P[k] = entries of M^k for k = 0..L, multiplied out as the loop does;
+    # row L + 1 is the zero filling the Toeplitz matrix above its diagonal.
+    P = np.zeros((L + 2, 4))
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for k in range(L + 1):
+        P[k] = a, b, c, d
+        a, b, c, d = (m00 * a + m01 * c, m00 * b + m01 * d,
+                      m10 * a + m11 * c, m10 * b + m11 * d)
+    lag = np.arange(L) - np.arange(L)[:, None]  # [j, i] = i - j
+    lag[lag < 0] = L + 1
+    W = P[lag].reshape(L, L, 2, 2).transpose(3, 0, 2, 1).reshape(2 * L, 2 * L)
+    powers = P[:L + 1]
+    powers.flags.writeable = W.flags.writeable = False  # shared by every hit
+    return Propagator(dt, m, powers, W)
+
+
+def _propagator(params: RafParams, dt: float) -> Propagator:
+    """The cached Propagator of params' rates at step dt."""
+    return _build_propagator(params.omega_u, params.omega_v, params.k_u, params.k_v, dt)
+
+
 def simulate(params: RafParams, input_signal: InputSignal, dt: float,
              n_steps: int, initial_state: NeuronState | None = None) -> StateTrace:
     """Simulate n_steps of the neuron; deterministic given its inputs.
+
+    Propagator: M = exp(A*dt), its powers M^0..M^64, the block matrix W of
+    the kernel and, on first use, the zero-order-hold vector b are built
+    once per (omega_u, omega_v, k_u, k_v, dt) and kept in a small LRU cache
+    (``_build_propagator``, 8 entries, about 1 MiB). A repeated dt, such as
+    the points of a resonance sweep below resonance, reuses them. Results
+    are the same bit for bit whether the cache is warm or cold.
 
     Kernel: an exact blocked scan over the real 2x2 propagator M
     (``_blocked_scan``). Blocks of BLOCK = 64 steps share one matmul with
@@ -338,14 +413,12 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
+    _check_dt(dt)
     state = initial_state or NeuronState()
-    m = tuple(float(x) for x in transition_terms(
-        params.omega_u, params.omega_v, params.k_u, params.k_v, dt))
+    prop = _propagator(params, dt)
     with np.errstate(over="ignore", invalid="ignore"):
         inc_u, inc_v = _forcing(params, input_signal, dt, n_steps)
-        us, vs = _blocked_scan(m, inc_u, inc_v, state.u, state.v)
+        us, vs = _blocked_scan(prop, inc_u, inc_v, state.u, state.v)
     finite = np.isfinite(us) & np.isfinite(vs)
     if not finite.all():
         # A non-finite value spreads over the kernel's whole block, and the
@@ -353,7 +426,7 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
         # restarted at that block, finds the step or finishes the run.
         start = int(np.argmin(finite)) // BLOCK * BLOCK
         u0, v0 = (float(us[start - 1]), float(vs[start - 1])) if start else (state.u, state.v)
-        us[start:], vs[start:] = _loop_scan(m, inc_u[start:], inc_v[start:], u0, v0)
+        us[start:], vs[start:] = _loop_scan(prop.m, inc_u[start:], inc_v[start:], u0, v0)
         finite = np.isfinite(us) & np.isfinite(vs)
         if not finite.all():
             raise SimulationError(f"non-finite state at step {int(np.argmin(finite))} "
@@ -369,48 +442,35 @@ def _forcing(params, input_signal, dt, n_steps):
     currents = input_signal.dense_currents(n_steps)
     if not np.any(currents):
         return inc_u, np.zeros(n_steps)
-    b = input_vector(params, dt)
+    b = _propagator(params, dt).input_vector(params)
     return inc_u + b[0] * currents, b[1] * currents
 
 
-def _blocked_scan(m, inc_u, inc_v, u, v):
+def _blocked_scan(prop, inc_u, inc_v, u, v):
     """States of x[i] = M x[i-1] + (inc_u[i], inc_v[i]) from x[-1] = (u, v).
 
-    m = (m00, m01, m10, m11) holds M. Within a block of L = BLOCK steps that
-    starts from state s, x[i] = sum_{j<=i} M^(i-j) f[j] + M^(i+1) s: the
-    first term for every block is one matmul with the block-Toeplitz matrix
-    of the powers M^0..M^(L-1); the block start states follow from
-    s' = M^L s + x_forced[L-1] in a loop over the blocks.
+    prop is M's Propagator. Within a block of L = BLOCK steps that starts
+    from state s, x[i] = sum_{j<=i} M^(i-j) f[j] + M^(i+1) s: the first term
+    for every block is one matmul with the block-Toeplitz matrix prop.W; the
+    block start states follow from s' = M^L s + x_forced[L-1] in a loop over
+    the blocks.
     """
     L, n = BLOCK, len(inc_u)
-    n_blocks = -(-n // L)
-    m00, m01, m10, m11 = m
-    # P[k] = entries of M^k for k = 0..L, multiplied out as the loop does;
-    # row L + 1 is the zero filling the Toeplitz matrix above its diagonal.
-    P = np.zeros((L + 2, 4))
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    for k in range(L + 1):
-        P[k] = a, b, c, d
-        a, b, c, d = (m00 * a + m01 * c, m00 * b + m01 * d,
-                      m10 * a + m11 * c, m10 * b + m11 * d)
-    lag = np.arange(L) - np.arange(L)[:, None]  # [j, i] = i - j
-    lag[lag < 0] = L + 1
-    # W[c*L + j, r*L + i] = M^(i-j)[r, c]: input c at step j to state r at step i
-    W = P[lag].reshape(L, L, 2, 2).transpose(3, 0, 2, 1).reshape(2 * L, 2 * L)
+    n_blocks, k = -(-n // L), n // L
+    F = np.zeros((n_blocks, 2, L))  # block-major, zero past step n
+    for r, inc in enumerate((inc_u, inc_v)):
+        F[:k, r] = inc[:k * L].reshape(k, L)
+        F[k:, r, :n - k * L] = inc[k * L:]
+    forced = (F.reshape(n_blocks, 2 * L) @ prop.W).reshape(n_blocks, 2, L)
 
-    F = np.zeros((n_blocks, 2, L))
-    F[:, 0].flat[:n] = inc_u
-    F[:, 1].flat[:n] = inc_v
-    forced = (F.reshape(n_blocks, 2 * L) @ W).reshape(n_blocks, 2, L)
-
-    a00, a01, a10, a11 = P[L].tolist()
+    a00, a01, a10, a11 = prop.powers[L].tolist()
     starts = []
     for fu, fv in zip(forced[:, 0, -1].tolist(), forced[:, 1, -1].tolist()):
         starts.append((u, v))
         u, v = a00 * u + a01 * v + fu, a10 * u + a11 * v + fv
     S = np.array(starts)
     su, sv = S[:, :1], S[:, 1:]
-    q00, q01, q10, q11 = P[1:L + 1].T  # entries of M^(i+1)
+    q00, q01, q10, q11 = prop.powers[1:].T  # entries of M^(i+1)
     # (M s) + f, the loop's order of operations
     us = su * q00 + sv * q01
     us += forced[:, 0]
@@ -422,7 +482,8 @@ def _blocked_scan(m, inc_u, inc_v, u, v):
 def _loop_scan(m, inc_u, inc_v, u, v):
     """Reference for _blocked_scan: the recurrence one step per iteration.
 
-    States after the first non-finite one are left NaN.
+    m = (m00, m01, m10, m11) holds M. States after the first non-finite one
+    are left NaN.
     """
     m00, m01, m10, m11 = m
     us = np.full(len(inc_u), np.nan)
@@ -443,9 +504,19 @@ def resonance_response(params: RafParams, drive_frequency: float,
     The drive current amp*sin(2*pi*f*t) is sampled at step midpoints and
     applied zero-order-hold; the first 60% of the run is discarded as
     transient, so duration should cover several decay times.
+
+    The step is dt = 1/(steps_per_cycle * max(f, resonance frequency)), so
+    every drive frequency below resonance runs at one dt, and the points of
+    a sweep there share one cached Propagator (see simulate); each point
+    above resonance has its own dt and builds its own.
     """
-    if not drive_frequency > 0:
-        raise ValueError(f"drive_frequency must be > 0, got {drive_frequency!r}")
+    if not (drive_frequency > 0 and math.isfinite(drive_frequency)):
+        raise ValueError(f"drive_frequency must be finite and > 0, got {drive_frequency!r}")
+    if not (duration > 0 and math.isfinite(duration)):
+        raise ValueError(f"duration must be finite and > 0, got {duration!r}")
+    if (isinstance(steps_per_cycle, bool) or not isinstance(steps_per_cycle, numbers.Integral)
+            or steps_per_cycle < 1):
+        raise ValueError(f"steps_per_cycle must be an integer >= 1, got {steps_per_cycle!r}")
     f_ref = max(drive_frequency, params.resonance_frequency)
     dt = 1.0 / (steps_per_cycle * f_ref)
     n_steps = max(int(round(duration / dt)), 2)

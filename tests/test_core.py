@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rafsim.core import (
@@ -22,8 +22,10 @@ from rafsim.core import (
     RafParams,
     SimulationError,
     StateTrace,
+    _build_propagator,
     _forcing,
     _loop_scan,
+    _propagator,
     input_vector,
     resonance_response,
     simulate,
@@ -153,12 +155,47 @@ class TestTransitionMatrix:
         # squared in extended range, where the product stays normal
         np.testing.assert_allclose(whole, half @ half, rtol=1e-11, atol=0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(TWO_PI * 10, TWO_PI * 1e5), st.floats(1e-3, 8.0),
+           st.integers(1, 64), st.booleans())
+    def test_continuous_across_critical_damping(self, w, w_dt, ulps, above):
+        # omega_u = omega_v = w with k_u = 2w, k_v = 0 gives disc = w*w - w*w
+        # = 0 exactly; omega_u a few ulps off w makes disc a tiny +- number
+        dt = w_dt / w
+        ou = w
+        for _ in range(ulps):
+            ou = math.nextafter(ou, math.inf if above else 0.0)
+        disc = ou * w - w * w
+        assume(disc != 0.0)
+        assert (disc > 0.0) == above  # the oscillatory or the overdamped branch
+        near = np.array(transition_terms(ou, w, 2.0 * w, 0.0, dt))
+        critical = np.array(transition_terms(w, w, 2.0 * w, 0.0, dt))
+        oracle = scipy.linalg.expm(np.array([[-2.0 * w, -w], [ou, 0.0]]) * dt).ravel()
+        scale = np.abs(oracle).max()
+        assert np.abs(near - critical).max() <= 1e-12 * scale
+        assert np.abs(near - oracle).max() <= 1e-12 * scale
+
     def test_rejects_bad_dt(self):
         p = RafParams(omega_u=1.0, omega_v=1.0)
         with pytest.raises(ValueError):
             transition_matrix(p, 0.0)
         with pytest.raises(ValueError):
             transition_matrix(p, -1e-3)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+    def test_every_entry_point_rejects_bad_dt(self, dt):
+        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.05)
+        match = "dt must be finite and > 0"
+        with pytest.raises(ValueError, match=match):
+            step(NeuronState(1.0, 0.0), p, 0.0, dt)
+        with pytest.raises(ValueError, match=match):
+            simulate(p, InputSignal.impulse(1.0), dt, 10)
+        with pytest.raises(ValueError, match=match):
+            transition_matrix(p, dt)
+        with pytest.raises(ValueError, match=match):
+            input_vector(p, dt)
+        with pytest.raises(ValueError, match=match):
+            _propagator(p, dt)
 
     def test_rejects_non_finite_result(self):
         p = RafParams(omega_u=1e200, omega_v=1e200)  # omega product overflows
@@ -435,6 +472,57 @@ class TestScanKernel:
             simulate(p, InputSignal(dense=currents), dt, 200)
 
 
+class TestPropagator:
+    """simulate's cached Propagator: one per (omega_u, omega_v, k_u, k_v, dt)."""
+
+    def test_cold_cache_gives_the_same_bits_as_warm(self):
+        p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
+        dt, n_steps = 1.0 / (64 * 250), 1000
+        signal = mixed_input(p, dt, n_steps, 5)
+        _build_propagator.cache_clear()
+        cold = simulate(p, signal, dt, n_steps)
+        cold_peak = resonance_response(p, 180.0, 2.0, 0.1)
+        hits = _build_propagator.cache_info().hits
+        warm = simulate(p, signal, dt, n_steps)
+        assert _build_propagator.cache_info().hits > hits
+        for a, b in ((cold.u, warm.u), (cold.v, warm.v), (cold.z, warm.z)):
+            np.testing.assert_array_equal(a, b)
+        assert resonance_response(p, 180.0, 2.0, 0.1) == cold_peak
+
+    def test_dt_one_ulp_apart_do_not_share(self):
+        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.05)
+        dt = 1e-4
+        assert _propagator(p, dt) is not _propagator(p, math.nextafter(dt, 1.0))
+        assert _propagator(p, dt) is _propagator(p, dt)
+
+    def test_params_differing_only_in_theta_share(self):
+        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 90, tau_u=0.05, theta=0.5)
+        q = dataclasses.replace(p, theta=7.0)
+        assert _propagator(p, 1e-4) is _propagator(q, 1e-4)
+
+    def test_cache_holds_at_most_one_mib_of_w(self):
+        p = RafParams(omega_u=1.0, omega_v=1.0)
+        w_bytes = _propagator(p, 1e-3).W.nbytes
+        assert w_bytes == (2 * BLOCK) ** 2 * 8
+        assert _build_propagator.cache_info().maxsize * w_bytes <= 2**20
+
+    def test_input_vector_only_for_a_current(self):
+        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 110, tau_v=0.3)
+        dt = 1.0 / 6400
+        _build_propagator.cache_clear()
+        simulate(p, InputSignal.impulse(1.0), dt, 100)
+        assert _propagator(p, dt)._b == []
+        simulate(p, InputSignal(dense=np.ones(100)), dt, 100)
+        assert _propagator(p, dt)._b == [tuple(input_vector(p, dt))]
+
+    def test_cached_arrays_are_read_only(self):
+        prop = _propagator(RafParams(omega_u=1.0, omega_v=2.0), 1e-3)
+        with pytest.raises(ValueError):
+            prop.W[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            prop.powers[0, 0] = 1.0
+
+
 class TestResonanceResponse:
     def test_sweep_peaks_near_resonance(self):
         f0 = 200.0
@@ -464,6 +552,28 @@ class TestResonanceResponse:
         p = RafParams(omega_u=1.0, omega_v=1.0)
         with pytest.raises(ValueError):
             resonance_response(p, 0.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"duration": -1.0}, "duration"),
+        ({"duration": 0.0}, "duration"),
+        ({"duration": math.nan}, "duration"),
+        ({"duration": math.inf}, "duration"),
+        ({"steps_per_cycle": 0}, "steps_per_cycle"),
+        ({"steps_per_cycle": -64}, "steps_per_cycle"),
+        ({"steps_per_cycle": 64.5}, "steps_per_cycle"),
+        ({"steps_per_cycle": True}, "steps_per_cycle"),
+        ({"drive_frequency": math.inf}, "drive_frequency"),
+    ])
+    def test_rejects_bad_arguments_at_entry(self, kwargs, name):
+        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.05, tau_v=0.05)
+        args = {"drive_frequency": 100.0, "drive_amplitude": 1.0, "duration": 0.5}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            resonance_response(p, **{**args, **kwargs})
+
+    def test_accepts_a_numpy_integer_steps_per_cycle(self):
+        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.05, tau_v=0.05)
+        assert (resonance_response(p, 90.0, 1.0, 0.5, steps_per_cycle=np.int64(32))
+                == resonance_response(p, 90.0, 1.0, 0.5, steps_per_cycle=32))
 
 
 class TestTypesAndValidation:
@@ -542,6 +652,17 @@ class TestTypesAndValidation:
         np.testing.assert_array_equal(loaded.v, trace.v)
         np.testing.assert_array_equal(loaded.z, trace.z)
         assert loaded.dt == trace.dt
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+    def test_trace_rejects_bad_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            StateTrace(dt=dt, u=np.zeros(3), v=np.zeros(3), z=np.zeros(3, dtype=np.int8))
+
+    @pytest.mark.parametrize("lengths", [(3, 2, 3), (3, 3, 1), (2, 3, 3)])
+    def test_trace_rejects_unequal_lengths(self, lengths):
+        u, v, z = (np.zeros(k) for k in lengths)
+        with pytest.raises(ValueError, match="u, v and z must have equal lengths"):
+            StateTrace(dt=1e-3, u=u, v=v, z=z)
 
     def test_trace_csv_roundtrip_one_row(self, tmp_path):
         trace = StateTrace(dt=0.1, u=np.array([0.1 + 0.2]), v=np.array([-1e-300]),
