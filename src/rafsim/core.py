@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -326,83 +326,82 @@ def step(state: NeuronState, params: RafParams, input_increment: float,
 
 @dataclass(frozen=True, eq=False)
 class Propagator:
-    """What simulate's scan needs of M = exp(A*dt) for one set of rates and dt.
+    """What simulate needs of the discretised system for one set of rates and dt.
 
-    m: the entries (m00, m01, m10, m11) of M.
-    powers: (BLOCK + 1, 4) array; row k holds the entries of M^k, multiplied
-        out as the per-step loop does.
+    m: the entries (m00, m01, m10, m11) of M = exp(A*dt).
+    m64: the entries of M^BLOCK, M multiplied out BLOCK times as the per-step
+        loop would, which carries a block's start state to the next block.
     W: the (2*BLOCK, 2*BLOCK) block-Toeplitz matrix of M^0..M^(BLOCK-1);
         W[c*L + j, r*L + i] = M^(i-j)[r, c] carries input c at step j of a
         block to state r at step i.
-    The zero-order-hold vector b is computed on first use (``input_vector``),
-    so a run without a current never computes it.
+    b: the zero-order-hold vector (b0, b1) = input_vector(params, dt).
     """
 
     dt: float
     m: tuple
-    powers: np.ndarray
+    m64: tuple
     W: np.ndarray
-    _b: list = field(default_factory=list, repr=False)  # [] until b is computed
-
-    def input_vector(self, params: RafParams) -> tuple:
-        """(b0, b1) = input_vector(params, dt) for params with these rates, computed once."""
-        if not self._b:
-            self._b.append(tuple(input_vector(params, self.dt).tolist()))
-        return self._b[0]
+    b: tuple
 
 
 @functools.lru_cache(maxsize=8)  # 8 W matrices of 128 KiB: 1 MiB in all
-def _build_propagator(omega_u, omega_v, k_u, k_v, dt) -> Propagator:
-    """The Propagator of the given rates at step dt, memoised.
+def _build_propagator(params: RafParams, dt: float) -> Propagator:
+    """The Propagator of params at step dt, memoised; params.theta is always 0.
 
-    theta does not enter M, so neurons that differ only in their threshold
-    share one entry. A non-finite M is kept, and simulate reports the step
-    where the state first leaves the finite range.
+    A non-finite M is kept, and simulate reports the step where the state
+    first leaves the finite range.
     """
     _check_dt(dt)
     L = BLOCK
-    m = tuple(float(x) for x in transition_terms(omega_u, omega_v, k_u, k_v, dt))
+    m = tuple(float(x) for x in transition_terms(
+        params.omega_u, params.omega_v, params.k_u, params.k_v, dt))
     m00, m01, m10, m11 = m
-    # P[k] = entries of M^k for k = 0..L, multiplied out as the loop does;
-    # row L + 1 is the zero filling the Toeplitz matrix above its diagonal.
-    P = np.zeros((L + 2, 4))
+    # P[k] = entries of M^k for k < L, multiplied out as the loop does;
+    # row L is the zero filling the Toeplitz matrix above its diagonal.
+    P = np.zeros((L + 1, 4))
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    for k in range(L + 1):
+    for k in range(L):
         P[k] = a, b, c, d
         a, b, c, d = (m00 * a + m01 * c, m00 * b + m01 * d,
                       m10 * a + m11 * c, m10 * b + m11 * d)
     lag = np.arange(L) - np.arange(L)[:, None]  # [j, i] = i - j
-    lag[lag < 0] = L + 1
+    lag[lag < 0] = L
     W = P[lag].reshape(L, L, 2, 2).transpose(3, 0, 2, 1).reshape(2 * L, 2 * L)
-    powers = P[:L + 1]
-    powers.flags.writeable = W.flags.writeable = False  # shared by every hit
-    return Propagator(dt, m, powers, W)
+    W.flags.writeable = False  # shared by every hit
+    return Propagator(dt, m, (a, b, c, d), W, tuple(input_vector(params, dt).tolist()))
 
 
 def _propagator(params: RafParams, dt: float) -> Propagator:
-    """The cached Propagator of params' rates at step dt."""
-    return _build_propagator(params.omega_u, params.omega_v, params.k_u, params.k_v, dt)
+    """The cached Propagator of params at step dt.
+
+    theta enters neither M nor b, so neurons that differ only in their
+    threshold share one entry. The key keeps params' own tau fields, which
+    input_vector reads; rebuilding them from k_u, k_v could move b by an ulp.
+    """
+    return _build_propagator(replace(params, theta=0.0), dt)
 
 
 def simulate(params: RafParams, input_signal: InputSignal, dt: float,
              n_steps: int, initial_state: NeuronState | None = None) -> StateTrace:
     """Simulate n_steps of the neuron; deterministic given its inputs.
 
-    Propagator: M = exp(A*dt), its powers M^0..M^64, the block matrix W of
-    the kernel and, on first use, the zero-order-hold vector b are built
-    once per (omega_u, omega_v, k_u, k_v, dt) and kept in a small LRU cache
-    (``_build_propagator``, 8 entries, about 1 MiB). A repeated dt, such as
-    the points of a resonance sweep below resonance, reuses them. Results
-    are the same bit for bit whether the cache is warm or cold.
+    Propagator: M = exp(A*dt), M^64, the block matrix W of the kernel and
+    the zero-order-hold vector b are built once per (omega_u, omega_v,
+    tau_u, tau_v, dt) and kept in a small LRU cache (``_build_propagator``,
+    8 entries, about 1 MiB). A repeated dt, such as the points of a
+    resonance sweep below resonance, reuses them. Results are the same bit
+    for bit whether the cache is warm or cold.
 
     Kernel: an exact blocked scan over the real 2x2 propagator M
-    (``_blocked_scan``). Blocks of BLOCK = 64 steps share one matmul with
-    the block-Toeplitz matrix of M^0..M^63, and the block start states are
-    carried with M^64. M is never diagonalised, so the defective propagator
-    of critical damping needs no special case. The block length trades the
-    matmul's work (8 * BLOCK flops per step) against the Python carry loop
-    (one iteration per block): on a 2-vCPU Xeon, of 16 to 256 steps, 64 was
-    the fastest at 100k steps and within 3% of the fastest at 13k steps.
+    (``_blocked_scan``). A plain-float loop over blocks of BLOCK = 64 steps
+    carries their start states with M^64; each start state s then enters its
+    block as M s added to the block's first input, and one matmul with the
+    block-Toeplitz matrix of M^0..M^63 gives every state. M is never
+    diagonalised, so the defective propagator of critical damping needs no
+    special case. The block length trades the matmul's work (8 * BLOCK
+    flops per step) against the Python carry loop (one iteration per
+    block): on a 2-vCPU Xeon, of 16 to 256 steps, 64 was the fastest at
+    100k steps and within 3% of the fastest at 13k steps.
 
     Precision: against the per-step loop it replaced (``_loop_scan``), the
     states agree within 1e-12 of the trace's largest |state|, Q >= 1e4 at
@@ -417,7 +416,7 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     state = initial_state or NeuronState()
     prop = _propagator(params, dt)
     with np.errstate(over="ignore", invalid="ignore"):
-        inc_u, inc_v = _forcing(params, input_signal, dt, n_steps)
+        inc_u, inc_v = _forcing(prop, input_signal, n_steps)
         us, vs = _blocked_scan(prop, inc_u, inc_v, state.u, state.v)
     finite = np.isfinite(us) & np.isfinite(vs)
     if not finite.all():
@@ -436,24 +435,25 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
                       metadata={"params": params, "n_steps": n_steps})
 
 
-def _forcing(params, input_signal, dt, n_steps):
+def _forcing(prop, input_signal, n_steps):
     """Per-step additive inputs (inc_u, inc_v): impulses plus the ZOH current."""
-    inc_u = input_signal.impulse_increments(dt, n_steps)
+    inc_u = input_signal.impulse_increments(prop.dt, n_steps)
     currents = input_signal.dense_currents(n_steps)
     if not np.any(currents):
         return inc_u, np.zeros(n_steps)
-    b = _propagator(params, dt).input_vector(params)
-    return inc_u + b[0] * currents, b[1] * currents
+    b0, b1 = prop.b
+    return inc_u + b0 * currents, b1 * currents
 
 
 def _blocked_scan(prop, inc_u, inc_v, u, v):
     """States of x[i] = M x[i-1] + (inc_u[i], inc_v[i]) from x[-1] = (u, v).
 
-    prop is M's Propagator. Within a block of L = BLOCK steps that starts
-    from state s, x[i] = sum_{j<=i} M^(i-j) f[j] + M^(i+1) s: the first term
-    for every block is one matmul with the block-Toeplitz matrix prop.W; the
-    block start states follow from s' = M^L s + x_forced[L-1] in a loop over
-    the blocks.
+    prop is M's Propagator. A block of L = BLOCK steps that starts from
+    state s runs as if from zero with M s added to its first input, so that
+    x[i] = sum_{j<=i} M^(i-j) f[j] with f[0] += M s: one matmul with the
+    block-Toeplitz matrix prop.W for every block. The start states come
+    first, from s' = M^L s + e in a loop over the blocks, where e is the
+    block's end state from zero, read off two columns of W.
     """
     L, n = BLOCK, len(inc_u)
     n_blocks, k = -(-n // L), n // L
@@ -461,22 +461,21 @@ def _blocked_scan(prop, inc_u, inc_v, u, v):
     for r, inc in enumerate((inc_u, inc_v)):
         F[:k, r] = inc[:k * L].reshape(k, L)
         F[k:, r, :n - k * L] = inc[k * L:]
-    forced = (F.reshape(n_blocks, 2 * L) @ prop.W).reshape(n_blocks, 2, L)
+    F2 = F.reshape(n_blocks, 2 * L)
+    ends = F2 @ prop.W[:, L - 1::L]
 
-    a00, a01, a10, a11 = prop.powers[L].tolist()
+    a00, a01, a10, a11 = prop.m64
     starts = []
-    for fu, fv in zip(forced[:, 0, -1].tolist(), forced[:, 1, -1].tolist()):
+    for eu, ev in ends.tolist():
         starts.append((u, v))
-        u, v = a00 * u + a01 * v + fu, a10 * u + a11 * v + fv
-    S = np.array(starts)
-    su, sv = S[:, :1], S[:, 1:]
-    q00, q01, q10, q11 = prop.powers[1:].T  # entries of M^(i+1)
-    # (M s) + f, the loop's order of operations
-    us = su * q00 + sv * q01
-    us += forced[:, 0]
-    vs = su * q10 + sv * q11
-    vs += forced[:, 1]
-    return us.reshape(-1)[:n], vs.reshape(-1)[:n]
+        u, v = a00 * u + a01 * v + eu, a10 * u + a11 * v + ev
+    su, sv = np.array(starts).T
+    m00, m01, m10, m11 = prop.m
+    # f + (M s): the loop's own operations, so step 0 equals step() bit for bit
+    F[:, 0, 0] += m00 * su + m01 * sv
+    F[:, 1, 0] += m10 * su + m11 * sv
+    x = (F2 @ prop.W).reshape(n_blocks, 2, L)
+    return x[:, 0].reshape(-1)[:n], x[:, 1].reshape(-1)[:n]
 
 
 def _loop_scan(m, inc_u, inc_v, u, v):

@@ -77,7 +77,7 @@ def critical_omega(w: float) -> float:
 def loop_reference(p, signal, dt, n_steps, state=NeuronState()):
     """(u, v) of the per-step reference loop on simulate's own forcing."""
     m = tuple(float(x) for x in transition_terms(p.omega_u, p.omega_v, p.k_u, p.k_v, dt))
-    return _loop_scan(m, *_forcing(p, signal, dt, n_steps), state.u, state.v)
+    return _loop_scan(m, *_forcing(_propagator(p, dt), signal, n_steps), state.u, state.v)
 
 
 def assert_matches_loop(p, signal, dt, n_steps, state=NeuronState()):
@@ -506,21 +506,30 @@ class TestPropagator:
         assert w_bytes == (2 * BLOCK) ** 2 * 8
         assert _build_propagator.cache_info().maxsize * w_bytes <= 2**20
 
-    def test_input_vector_only_for_a_current(self):
-        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 110, tau_v=0.3)
+    def test_b_is_input_vector_bit_for_bit(self):
+        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 110, tau_u=3e-3, tau_v=0.3,
+                      theta=0.25)
+        q = dataclasses.replace(p, theta=-4.0)
         dt = 1.0 / 6400
         _build_propagator.cache_clear()
-        simulate(p, InputSignal.impulse(1.0), dt, 100)
-        assert _propagator(p, dt)._b == []
-        simulate(p, InputSignal(dense=np.ones(100)), dt, 100)
-        assert _propagator(p, dt)._b == [tuple(input_vector(p, dt))]
+        assert _propagator(p, dt).b == tuple(input_vector(p, dt))
+        assert _propagator(q, dt).b == tuple(input_vector(q, dt))
+
+    def test_carry_is_m_multiplied_out_block_times(self):
+        p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
+        dt = 1.0 / (64 * 250)
+        m00, m01, m10, m11 = (float(x) for x in transition_terms(
+            p.omega_u, p.omega_v, p.k_u, p.k_v, dt))
+        a, b, c, d = 1.0, 0.0, 0.0, 1.0
+        for _ in range(BLOCK):  # M @ (M^k), in the loop's order of operations
+            a, b, c, d = (m00 * a + m01 * c, m00 * b + m01 * d,
+                          m10 * a + m11 * c, m10 * b + m11 * d)
+        assert _propagator(p, dt).m64 == (a, b, c, d)
 
     def test_cached_arrays_are_read_only(self):
         prop = _propagator(RafParams(omega_u=1.0, omega_v=2.0), 1e-3)
         with pytest.raises(ValueError):
             prop.W[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            prop.powers[0, 0] = 1.0
 
 
 class TestResonanceResponse:
