@@ -386,8 +386,8 @@ def _propagator(params: RafParams, dt: float) -> Propagator:
     """The cached Propagator of params at step dt.
 
     theta enters neither M nor b, so neurons that differ only in their
-    threshold share one entry. The key keeps params' own tau fields, which
-    input_vector reads; rebuilding them from k_u, k_v could move b by an ulp.
+    threshold share one entry. The key is params with theta set to 0, so b
+    is built from the very fields that input_vector reads.
     """
     return _build_propagator(replace(params, theta=0.0), dt)
 

@@ -496,7 +496,7 @@ class TestScanKernel:
 
 
 class TestPropagator:
-    """simulate's cached Propagator: one per (omega_u, omega_v, k_u, k_v, dt)."""
+    """simulate's cached Propagator: one per (omega_u, omega_v, tau_u, tau_v, dt)."""
 
     def test_cold_cache_gives_the_same_bits_as_warm(self):
         p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
@@ -534,7 +534,6 @@ class TestPropagator:
                       theta=0.25)
         q = dataclasses.replace(p, theta=-4.0)
         dt = 1.0 / 6400
-        _build_propagator.cache_clear()
         assert _propagator(p, dt).b == tuple(input_vector(p, dt))
         assert _propagator(q, dt).b == tuple(input_vector(q, dt))
 
