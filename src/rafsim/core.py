@@ -298,9 +298,10 @@ def input_vector(params: RafParams, dt: float) -> np.ndarray:
         G = G + term
 
     E = transition_matrix(params, h)
-    for _ in range(n_half):
-        G = G + E @ G
-        E = E @ E
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite b raises below
+        for _ in range(n_half):
+            G = G + E @ G
+            E = E @ E
     b = G @ np.array([1.0, 0.0])
     if not np.all(np.isfinite(b)):
         raise SimulationError(f"non-finite input vector for {params!r}, dt={dt!r}")
@@ -315,14 +316,15 @@ def step(state: NeuronState, params: RafParams, input_increment: float,
     hold_current is a constant current integrated exactly over the step.
     The spike flag is v >= theta evaluated on the new state; the state
     itself is never reset.
+
+    M and the zero-order-hold vector b come from simulate's cache
+    (``_propagator``), so a step equals a one-step simulate bit for bit and
+    fails wherever simulate fails, even with no current: a b that is not
+    finite raises SimulationError whatever hold_current is.
     """
     _check_dt(dt)
-    m00, m01, m10, m11 = transition_terms(
-        params.omega_u, params.omega_v, params.k_u, params.k_v, dt)
-    fu, fv = input_increment, 0.0  # the forcing, summed first as in _forcing
-    if hold_current != 0.0:
-        b = input_vector(params, dt)
-        fu, fv = input_increment + b[0] * hold_current, b[1] * hold_current
+    (m00, m01, m10, m11), (b0, b1) = _propagator(params, dt)
+    fu, fv = input_increment + b0 * hold_current, b1 * hold_current  # summed first, as in _forcing
     u = m00 * state.u + m01 * state.v + fu
     v = m10 * state.u + m11 * state.v + fv
     if not (np.isfinite(u) and np.isfinite(v)):
@@ -332,40 +334,45 @@ def step(state: NeuronState, params: RafParams, input_increment: float,
     return new_state, bool(new_state.v >= params.theta)
 
 
-@dataclass(frozen=True, eq=False)
-class Propagator:
-    """What simulate needs of the discretised system for one set of rates and dt.
+@functools.lru_cache(maxsize=8)
+def _build_propagator(params: RafParams, dt: float):
+    """(m, b) of params at step dt, memoised; params.theta is always 0.
 
-    m: the entries (m00, m01, m10, m11) of M = exp(A*dt).
-    m64: the entries of M^BLOCK, M multiplied out BLOCK times as the per-step
-        loop would, which carries a block's start state to the next block.
-    W: the (2*BLOCK, 2*BLOCK) block-Toeplitz matrix of M^0..M^(BLOCK-1);
-        W[c*L + j, r*L + i] = M^(i-j)[r, c] carries input c at step j of a
-        block to state r at step i.
-    b: the zero-order-hold vector (b0, b1) = input_vector(params, dt).
+    m = (m00, m01, m10, m11) holds the entries of M = exp(A*dt), and
+    b = (b0, b1) = input_vector(params, dt) the zero-order-hold vector;
+    input_vector checks dt. A non-finite M is kept, and simulate reports the
+    step where the state first leaves the finite range.
     """
-
-    dt: float
-    m: tuple
-    m64: tuple
-    W: np.ndarray
-    b: tuple
-
-
-@functools.lru_cache(maxsize=8)  # 8 W matrices of 128 KiB: 1 MiB in all
-def _build_propagator(params: RafParams, dt: float) -> Propagator:
-    """The Propagator of params at step dt, memoised; params.theta is always 0.
-
-    A non-finite M is kept, and simulate reports the step where the state
-    first leaves the finite range.
-    """
-    _check_dt(dt)
-    L = BLOCK
     # b before M: the benchmark's tracer takes the last transition_terms span
     # of a run as M's own, directly under simulate
     b = tuple(input_vector(params, dt).tolist())
     m = tuple(float(x) for x in transition_terms(
         params.omega_u, params.omega_v, params.k_u, params.k_v, dt))
+    return m, b
+
+
+def _propagator(params: RafParams, dt: float):
+    """The cached (m, b) of params at step dt, read by step and simulate.
+
+    theta enters neither M nor b, so neurons that differ only in their
+    threshold share one entry. The key is params with theta set to 0, so b
+    is built from the very fields that input_vector reads.
+    """
+    return _build_propagator(replace(params, theta=0.0), dt)
+
+
+@functools.lru_cache(maxsize=8)  # 8 W matrices of 128 KiB: 1 MiB in all
+def _toeplitz(m):
+    """(m64, W) of the scan for the M with entries m, memoised.
+
+    m64: the entries of M^BLOCK, M multiplied out BLOCK times as the
+        per-step loop would, which carries a block's start state to the
+        next block.
+    W: the read-only (2*BLOCK, 2*BLOCK) block-Toeplitz matrix of
+        M^0..M^(BLOCK-1); W[c*L + j, r*L + i] = M^(i-j)[r, c] carries input c
+        at step j of a block to state r at step i.
+    """
+    L = BLOCK
     m00, m01, m10, m11 = m
     # P[k] = entries of M^k for k < L, multiplied out as the loop does;
     # row L is the zero filling the Toeplitz matrix above its diagonal.
@@ -379,29 +386,20 @@ def _build_propagator(params: RafParams, dt: float) -> Propagator:
     lag[lag < 0] = L
     W = P[lag].reshape(L, L, 2, 2).transpose(3, 0, 2, 1).reshape(2 * L, 2 * L)
     W.flags.writeable = False  # shared by every hit
-    return Propagator(dt, m, mk, W, b)
-
-
-def _propagator(params: RafParams, dt: float) -> Propagator:
-    """The cached Propagator of params at step dt.
-
-    theta enters neither M nor b, so neurons that differ only in their
-    threshold share one entry. The key is params with theta set to 0, so b
-    is built from the very fields that input_vector reads.
-    """
-    return _build_propagator(replace(params, theta=0.0), dt)
+    return mk, W
 
 
 def simulate(params: RafParams, input_signal: InputSignal, dt: float,
              n_steps: int, initial_state: NeuronState | None = None) -> StateTrace:
     """Simulate n_steps of the neuron; deterministic given its inputs.
 
-    Propagator: M = exp(A*dt), M^64, the block matrix W of the kernel and
+    Propagator: two small LRU caches of 8 entries each. M = exp(A*dt) and
     the zero-order-hold vector b are built once per (omega_u, omega_v,
-    tau_u, tau_v, dt) and kept in a small LRU cache (``_build_propagator``,
-    8 entries, about 1 MiB). A repeated dt, such as the points of a
-    resonance sweep below resonance, reuses them. Results are the same bit
-    for bit whether the cache is warm or cold.
+    tau_u, tau_v, dt) (``_propagator``, which step reads too). The kernel's
+    M^64 and block matrix W depend on M alone and are built once per M
+    (``_toeplitz``, about 1 MiB in all). A repeated dt, such as the points
+    of a resonance sweep below resonance, reuses both. Results are the same
+    bit for bit whether the caches are warm or cold.
 
     Kernel: an exact blocked scan over the real 2x2 propagator M
     (``_blocked_scan``). A plain-float loop over blocks of BLOCK = 64 steps
@@ -424,10 +422,10 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     _check_count("n_steps", n_steps)
     _check_dt(dt)
     state = initial_state or NeuronState()
-    prop = _propagator(params, dt)
+    m, b = _propagator(params, dt)
     with np.errstate(over="ignore", invalid="ignore"):
-        inc_u, inc_v = _forcing(prop, input_signal, n_steps)
-        us, vs = _blocked_scan(prop, inc_u, inc_v, state.u, state.v)
+        inc_u, inc_v = _forcing(b, dt, input_signal, n_steps)
+        us, vs = _blocked_scan(m, inc_u, inc_v, state.u, state.v)
     finite = np.isfinite(us) & np.isfinite(vs)
     if not finite.all():
         # A non-finite value spreads over the kernel's whole block, and the
@@ -435,7 +433,7 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
         # restarted at that block, finds the step or finishes the run.
         start = int(np.argmin(finite)) // BLOCK * BLOCK
         u0, v0 = (float(us[start - 1]), float(vs[start - 1])) if start else (state.u, state.v)
-        us[start:], vs[start:] = _loop_scan(prop.m, inc_u[start:], inc_v[start:], u0, v0)
+        us[start:], vs[start:] = _loop_scan(m, inc_u[start:], inc_v[start:], u0, v0)
         finite = np.isfinite(us) & np.isfinite(vs)
         if not finite.all():
             raise SimulationError(f"non-finite state at step {int(np.argmin(finite))} "
@@ -445,25 +443,26 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
                       metadata={"params": params, "n_steps": n_steps})
 
 
-def _forcing(prop, input_signal, n_steps):
-    """Per-step additive inputs (inc_u, inc_v): impulses plus the ZOH current."""
-    inc_u = input_signal.impulse_increments(prop.dt, n_steps)
+def _forcing(b, dt, input_signal, n_steps):
+    """Per-step additive inputs (inc_u, inc_v): impulses plus the ZOH current b*I."""
+    inc_u = input_signal.impulse_increments(dt, n_steps)
     currents = input_signal.dense_currents(n_steps)
     if not np.any(currents):
         return inc_u, np.zeros(n_steps)
-    b0, b1 = prop.b
+    b0, b1 = b
     return inc_u + b0 * currents, b1 * currents
 
 
-def _blocked_scan(prop, inc_u, inc_v, u, v):
+def _blocked_scan(m, inc_u, inc_v, u, v):
     """States of x[i] = M x[i-1] + (inc_u[i], inc_v[i]) from x[-1] = (u, v).
 
-    prop is M's Propagator. A block of L = BLOCK steps that starts from
-    state s runs as if from zero with M s added to its first input, so that
-    x[i] = sum_{j<=i} M^(i-j) f[j] with f[0] += M s: one matmul with the
-    block-Toeplitz matrix prop.W for every block. The start states come
-    first, from s' = M^L s + e in a loop over the blocks, where e is the
-    block's end state from zero, read off two columns of W.
+    m = (m00, m01, m10, m11) holds M; M^L and the block-Toeplitz matrix W
+    come from M's cached ``_toeplitz(m)``. A block of L = BLOCK steps that
+    starts from state s runs as if from zero with M s added to its first
+    input, so that x[i] = sum_{j<=i} M^(i-j) f[j] with f[0] += M s: one
+    matmul with W for every block. The start states come first, from
+    s' = M^L s + e in a loop over the blocks, where e is the block's end
+    state from zero, read off two columns of W.
     """
     L, n = BLOCK, len(inc_u)
     n_blocks, k = -(-n // L), n // L
@@ -472,19 +471,19 @@ def _blocked_scan(prop, inc_u, inc_v, u, v):
         F[:k, r] = inc[:k * L].reshape(k, L)
         F[k:, r, :n - k * L] = inc[k * L:]
     F2 = F.reshape(n_blocks, 2 * L)
-    ends = F2 @ prop.W[:, L - 1::L]
+    (a00, a01, a10, a11), W = _toeplitz(m)
+    ends = F2 @ W[:, L - 1::L]
 
-    a00, a01, a10, a11 = prop.m64
     starts = []
     for eu, ev in ends.tolist():
         starts.append((u, v))
         u, v = a00 * u + a01 * v + eu, a10 * u + a11 * v + ev
     su, sv = np.array(starts).T
-    m00, m01, m10, m11 = prop.m
+    m00, m01, m10, m11 = m
     # f + (M s): the loop's own operations, so step 0 equals step() bit for bit
     F[:, 0, 0] += m00 * su + m01 * sv
     F[:, 1, 0] += m10 * su + m11 * sv
-    x = (F2 @ prop.W).reshape(n_blocks, 2, L)
+    x = (F2 @ W).reshape(n_blocks, 2, L)
     return x[:, 0].reshape(-1)[:n], x[:, 1].reshape(-1)[:n]
 
 
@@ -512,22 +511,30 @@ def resonance_response(params: RafParams, drive_frequency: float,
 
     The drive current amp*sin(2*pi*f*t) is sampled at step midpoints and
     applied zero-order-hold; the first 60% of the run is discarded as
-    transient, so duration should cover several decay times. A duration
-    that rounds to fewer than 2 steps raises ValueError.
+    transient, so duration should cover several decay times. Each argument
+    is checked at entry, and a bad one raises ValueError naming it: so does
+    a duration that rounds to fewer than 2 steps, or to more steps than a
+    float holds.
 
     The step is dt = 1/(steps_per_cycle * max(f, resonance frequency)), so
-    every drive frequency below resonance runs at one dt, and the points of
-    a sweep there share one cached Propagator (see simulate); each point
-    above resonance has its own dt and builds its own.
+    every drive frequency below resonance runs at one dt. The points of a
+    sweep there share one cached (M, b) and one cached W (see simulate);
+    each point above resonance has its own dt, and so its own M and W.
     """
     if not (drive_frequency > 0 and math.isfinite(drive_frequency)):
         raise ValueError(f"drive_frequency must be finite and > 0, got {drive_frequency!r}")
+    if not math.isfinite(drive_amplitude):
+        raise ValueError(f"drive_amplitude must be finite, got {drive_amplitude!r}")
     if not (duration > 0 and math.isfinite(duration)):
         raise ValueError(f"duration must be finite and > 0, got {duration!r}")
     _check_count("steps_per_cycle", steps_per_cycle)
     f_ref = max(drive_frequency, params.resonance_frequency)
     dt = 1.0 / (steps_per_cycle * f_ref)
-    n_steps = int(round(duration / dt))
+    steps = duration / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"duration must be a finite number of steps, got {duration!r}: "
+                         f"duration / dt overflows at dt = {dt!r}")
+    n_steps = int(round(steps))
     if n_steps < 2:
         raise ValueError(f"duration must cover at least 2 steps, got {duration!r}: "
                          f"{n_steps} steps of dt = {dt!r}")

@@ -27,6 +27,7 @@ from rafsim.core import (
     _forcing,
     _loop_scan,
     _propagator,
+    _toeplitz,
     input_vector,
     resonance_response,
     simulate,
@@ -78,7 +79,8 @@ def critical_omega(w: float) -> float:
 def loop_reference(p, signal, dt, n_steps, state=NeuronState()):
     """(u, v) of the per-step reference loop on simulate's own forcing."""
     m = tuple(float(x) for x in transition_terms(p.omega_u, p.omega_v, p.k_u, p.k_v, dt))
-    return _loop_scan(m, *_forcing(_propagator(p, dt), signal, n_steps), state.u, state.v)
+    _, b = _propagator(p, dt)
+    return _loop_scan(m, *_forcing(b, dt, signal, n_steps), state.u, state.v)
 
 
 def assert_matches_loop(p, signal, dt, n_steps, state=NeuronState()):
@@ -304,6 +306,19 @@ class TestStep:
                          initial_state=NeuronState(u0, v0))
         assert state.u == trace.u[0] and state.v == trace.v[0]
 
+    def test_fails_alike_with_one_step_simulate_without_current(self):
+        # M is finite, but b overflows in input_vector's doubling at dt = 1e5
+        p = RafParams(omega_u=1e300, omega_v=0.0)
+        match = "non-finite input vector"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError, match=match):
+                input_vector(p, 1e5)
+            with pytest.raises(SimulationError, match=match):
+                step(NeuronState(), p, 0.0, 1e5)
+            with pytest.raises(SimulationError, match=match):
+                simulate(p, InputSignal(), 1e5, 1)
+
 
 class TestSimulate:
     def test_zero_input_zero_state_is_all_zero(self):
@@ -496,13 +511,14 @@ class TestScanKernel:
 
 
 class TestPropagator:
-    """simulate's cached Propagator: one per (omega_u, omega_v, tau_u, tau_v, dt)."""
+    """The cached (m, b) per (omega_u, omega_v, tau_u, tau_v, dt), and (m64, W) per M."""
 
     def test_cold_cache_gives_the_same_bits_as_warm(self):
         p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
         dt, n_steps = 1.0 / (64 * 250), 1000
         signal = mixed_input(p, dt, n_steps, 5)
         _build_propagator.cache_clear()
+        _toeplitz.cache_clear()
         cold = simulate(p, signal, dt, n_steps)
         cold_peak = resonance_response(p, 180.0, 2.0, 0.1)
         hits = _build_propagator.cache_info().hits
@@ -511,6 +527,14 @@ class TestPropagator:
         for a, b in ((cold.u, warm.u), (cold.v, warm.v), (cold.z, warm.z)):
             np.testing.assert_array_equal(a, b)
         assert resonance_response(p, 180.0, 2.0, 0.1) == cold_peak
+
+    def test_step_reads_the_cache(self):
+        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 90, tau_u=0.05, theta=0.5)
+        _build_propagator.cache_clear()
+        step(NeuronState(0.1, 0.2), p, 0.0, 1e-4)
+        hits = _build_propagator.cache_info().hits
+        step(NeuronState(0.3, -0.4), p, 0.5, 1e-4, hold_current=2.0)
+        assert _build_propagator.cache_info().hits == hits + 1
 
     def test_dt_one_ulp_apart_do_not_share(self):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.05)
@@ -525,17 +549,18 @@ class TestPropagator:
 
     def test_cache_holds_at_most_one_mib_of_w(self):
         p = RafParams(omega_u=1.0, omega_v=1.0)
-        w_bytes = _propagator(p, 1e-3).W.nbytes
+        m, _ = _propagator(p, 1e-3)
+        w_bytes = _toeplitz(m)[1].nbytes
         assert w_bytes == (2 * BLOCK) ** 2 * 8
-        assert _build_propagator.cache_info().maxsize * w_bytes <= 2**20
+        assert _toeplitz.cache_info().maxsize * w_bytes <= 2**20
 
     def test_b_is_input_vector_bit_for_bit(self):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 110, tau_u=3e-3, tau_v=0.3,
                       theta=0.25)
         q = dataclasses.replace(p, theta=-4.0)
         dt = 1.0 / 6400
-        assert _propagator(p, dt).b == tuple(input_vector(p, dt))
-        assert _propagator(q, dt).b == tuple(input_vector(q, dt))
+        assert _propagator(p, dt)[1] == tuple(input_vector(p, dt))
+        assert _propagator(q, dt)[1] == tuple(input_vector(q, dt))
 
     def test_carry_is_m_multiplied_out_block_times(self):
         p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
@@ -546,12 +571,13 @@ class TestPropagator:
         for _ in range(BLOCK):  # M @ (M^k), in the loop's order of operations
             a, b, c, d = (m00 * a + m01 * c, m00 * b + m01 * d,
                           m10 * a + m11 * c, m10 * b + m11 * d)
-        assert _propagator(p, dt).m64 == (a, b, c, d)
+        assert _toeplitz((m00, m01, m10, m11))[0] == (a, b, c, d)
 
     def test_cached_arrays_are_read_only(self):
-        prop = _propagator(RafParams(omega_u=1.0, omega_v=2.0), 1e-3)
+        m, _ = _propagator(RafParams(omega_u=1.0, omega_v=2.0), 1e-3)
+        _, W = _toeplitz(m)
         with pytest.raises(ValueError):
-            prop.W[0, 0] = 1.0
+            W[0, 0] = 1.0
 
 
 class TestResonanceResponse:
@@ -594,6 +620,9 @@ class TestResonanceResponse:
         ({"steps_per_cycle": 64.5}, "steps_per_cycle"),
         ({"steps_per_cycle": True}, "steps_per_cycle"),
         ({"drive_frequency": math.inf}, "drive_frequency"),
+        ({"duration": 1e306}, "duration"),  # duration / dt overflows
+        ({"drive_amplitude": math.inf}, "drive_amplitude"),
+        ({"drive_amplitude": math.nan}, "drive_amplitude"),
     ])
     def test_rejects_bad_arguments_at_entry(self, kwargs, name):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.05, tau_v=0.05)
