@@ -327,7 +327,7 @@ def step(state: NeuronState, params: RafParams, input_increment: float,
     fu, fv = input_increment + b0 * hold_current, b1 * hold_current  # summed first, as in _forcing
     u = m00 * state.u + m01 * state.v + fu
     v = m10 * state.u + m11 * state.v + fv
-    if not (np.isfinite(u) and np.isfinite(v)):
+    if not (math.isfinite(u) and math.isfinite(v)):
         raise SimulationError(
             f"non-finite state ({u!r}, {v!r}) after step with {params!r}, dt={dt!r}")
     new_state = NeuronState(float(u), float(v))
@@ -346,8 +346,8 @@ def _build_propagator(params: RafParams, dt: float):
     # b before M: the benchmark's tracer takes the last transition_terms span
     # of a run as M's own, directly under simulate
     b = tuple(input_vector(params, dt).tolist())
-    m = tuple(float(x) for x in transition_terms(
-        params.omega_u, params.omega_v, params.k_u, params.k_v, dt))
+    m = tuple(map(float, transition_terms(
+        params.omega_u, params.omega_v, params.k_u, params.k_v, dt)))
     return m, b
 
 
