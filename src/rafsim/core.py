@@ -19,6 +19,7 @@ import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "RafParams",
@@ -34,7 +35,7 @@ __all__ = [
     "SimulationError",
 ]
 
-BLOCK = 64  # steps per block of simulate's scan
+BLOCK = 32  # steps per block of simulate's scan
 
 
 class SimulationError(RuntimeError):
@@ -287,6 +288,8 @@ def input_vector(params: RafParams, dt: float) -> np.ndarray:
     scale = float(np.max(np.abs(A))) * dt
     if not math.isfinite(scale):
         raise SimulationError(f"max|A|*dt is not finite for {params!r}, dt={dt!r}")
+    if scale > 2.0**1022:  # dt / 2**n_half below would not fit a float
+        raise SimulationError(f"max|A|*dt = {scale!r} is above 2**1022 for {params!r}, dt={dt!r}")
     n_half = max(0, int(math.ceil(math.log2(scale / 0.5)))) if scale > 0.5 else 0
     h = dt / (1 << n_half)
 
@@ -356,35 +359,41 @@ def _propagator(params: RafParams, dt: float):
 
     theta enters neither M nor b, so neurons that differ only in their
     threshold share one entry. The key is params with theta set to 0, so b
-    is built from the very fields that input_vector reads.
+    is built from the very fields that input_vector reads. A SimulationError
+    raised while building names the caller's params, not the key.
     """
-    return _build_propagator(replace(params, theta=0.0), dt)
+    key = replace(params, theta=0.0)
+    try:
+        return _build_propagator(key, dt)
+    except SimulationError as err:
+        err.args = (str(err).replace(repr(key), repr(params)),)
+        raise
 
 
-@functools.lru_cache(maxsize=8)  # 8 W matrices of 128 KiB: 1 MiB in all
+@functools.lru_cache(maxsize=8)  # 8 W matrices of 32 KiB: 256 KiB in all
 def _toeplitz(m):
-    """(m64, W) of the scan for the M with entries m, memoised.
+    """(mL, W) of the scan for the M with entries m, memoised.
 
-    m64: the entries of M^BLOCK, M multiplied out BLOCK times as the
+    mL: the entries of M^L for L = BLOCK, M multiplied out L times as the
         per-step loop would, which carries a block's start state to the
-        next block.
-    W: the read-only (2*BLOCK, 2*BLOCK) block-Toeplitz matrix of
-        M^0..M^(BLOCK-1); W[c*L + j, r*L + i] = M^(i-j)[r, c] carries input c
-        at step j of a block to state r at step i.
+        next block; the scan's next level runs on it, from this same cache.
+    W: the read-only (2*L, 2*L) block-Toeplitz matrix of M^0..M^(L-1);
+        W[c*L + j, r*L + i] = M^(i-j)[r, c] carries input c at step j of a
+        block to state r at step i.
     """
     L = BLOCK
     m00, m01, m10, m11 = m
-    # P[k] = entries of M^k for k < L, multiplied out as the loop does;
-    # row L is the zero filling the Toeplitz matrix above its diagonal.
-    P = np.zeros((L + 1, 4))
+    powers = []  # entries of M^0..M^(L-1), multiplied out as the loop does
     mk = 1.0, 0.0, 0.0, 1.0  # entries of M^k; of M^L after the loop
-    for k in range(L):
-        P[k] = p00, p01, p10, p11 = mk
+    for _ in range(L):
+        powers += mk
+        p00, p01, p10, p11 = mk
         mk = (m00 * p00 + m01 * p10, m00 * p01 + m01 * p11,
               m10 * p00 + m11 * p10, m10 * p01 + m11 * p11)
-    lag = np.arange(L) - np.arange(L)[:, None]  # [j, i] = i - j
-    lag[lag < 0] = L
-    W = P[lag].reshape(L, L, 2, 2).transpose(3, 0, 2, 1).reshape(2 * L, 2 * L)
+    P = np.zeros((2, 2, 2 * L - 1))  # P[r, c, L-1 + k] = M^k[r, c], zero for k < 0
+    P[:, :, L - 1:] = np.reshape(powers, (L, 2, 2)).transpose(1, 2, 0)
+    # window s of P[r, c] starts at lag s - (L-1), so row j of W reads window L-1-j
+    W = sliding_window_view(P, L, axis=2)[:, :, ::-1].transpose(1, 2, 0, 3).reshape(2 * L, 2 * L)
     W.flags.writeable = False  # shared by every hit
     return mk, W
 
@@ -396,26 +405,33 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     Propagator: two small LRU caches of 8 entries each. M = exp(A*dt) and
     the zero-order-hold vector b are built once per (omega_u, omega_v,
     tau_u, tau_v, dt) (``_propagator``, which step reads too). The kernel's
-    M^64 and block matrix W depend on M alone and are built once per M
-    (``_toeplitz``, about 1 MiB in all). A repeated dt, such as the points
-    of a resonance sweep below resonance, reuses both. Results are the same
-    bit for bit whether the caches are warm or cold.
+    M^BLOCK and block matrix W depend on M alone and are built once per M
+    (``_toeplitz``, 256 KiB in all); the scan's upper levels take theirs
+    from the same cache. A repeated dt, such as the points of a resonance
+    sweep below resonance, reuses both. Results are the same bit for bit
+    whether the caches are warm or cold.
 
-    Kernel: an exact blocked scan over the real 2x2 propagator M
-    (``_blocked_scan``). A plain-float loop over blocks of BLOCK = 64 steps
-    carries their start states with M^64; each start state s then enters its
-    block as M s added to the block's first input, and one matmul with the
-    block-Toeplitz matrix of M^0..M^63 gives every state. M is never
+    Kernel: an exact multi-level blocked scan over the real 2x2 propagator
+    M (``_blocked_scan``), the chunked scan of a linear state-space recurrence.
+    Each block of BLOCK = 32 steps enters with its start state s folded into
+    its first input as M s, and one matmul with the block-Toeplitz matrix of
+    M^0..M^31 gives every state. The start states obey the same recurrence
+    over blocks, with M^32 in place of M, and are scanned the same way one
+    level up, until at most BLOCK + 1 blocks are left for a plain-float
+    loop: 100k steps take three levels, the last with 4 blocks. M is never
     diagonalised, so the defective propagator of critical damping needs no
-    special case. The block length trades the matmul's work (8 * BLOCK
-    flops per step) against the Python carry loop (one iteration per
-    block): on a 2-vCPU Xeon, of 16 to 256 steps, 64 was the fastest at
-    100k steps and within 3% of the fastest at 13k steps.
+    special case. With the carry loop-free, the matmul's 8 * BLOCK flops per
+    step set the block length: on a 2-vCPU Xeon, 32 steps scanned 12.7k and
+    100k steps about 20% faster than 64, and 16 was no faster than 32 and
+    strayed further from the loop (7.4e-13 of scale at Q = 1e4).
 
     Precision: against the per-step loop it replaced (``_loop_scan``), the
     states agree within 1e-12 of the trace's largest |state|, Q >= 1e4 at
-    100k steps included. Only an undamped neuron run for more than about
-    20k steps drifts further, and there the loop is the less accurate side.
+    100k steps included (2.2e-13). The scan's error grows with the length
+    of the run, as M^32 carries the rounding of its 32 products: an
+    undamped neuron at 16 steps per cycle drifts by about 8e-18 of scale per
+    step, 8e-13 at 100k steps and 2.4e-12 at 300k, where the loop stays
+    within 3e-14 of the same recurrence run in extended precision.
     A non-finite state raises SimulationError naming the step at which the
     per-step loop first leaves the finite range.
     """
@@ -428,9 +444,10 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
         us, vs = _blocked_scan(m, inc_u, inc_v, state.u, state.v)
     finite = np.isfinite(us) & np.isfinite(vs)
     if not finite.all():
-        # A non-finite value spreads over the kernel's whole block, and the
-        # kernel can overflow where the loop would not; the per-step loop,
-        # restarted at that block, finds the step or finishes the run.
+        # A non-finite value spreads over its whole block at every level of
+        # the kernel, earlier steps included, and the kernel can overflow
+        # where the loop would not; the per-step loop, restarted at the first
+        # block it reaches, finds the step or finishes the run.
         start = int(np.argmin(finite)) // BLOCK * BLOCK
         u0, v0 = (float(us[start - 1]), float(vs[start - 1])) if start else (state.u, state.v)
         us[start:], vs[start:] = _loop_scan(m, inc_u[start:], inc_v[start:], u0, v0)
@@ -450,7 +467,8 @@ def _forcing(b, dt, input_signal, n_steps):
     if not np.any(currents):
         return inc_u, np.zeros(n_steps)
     b0, b1 = b
-    return inc_u + b0 * currents, b1 * currents
+    inc_u += b0 * currents  # inc_u is a fresh array
+    return inc_u, b1 * currents
 
 
 def _blocked_scan(m, inc_u, inc_v, u, v):
@@ -460,9 +478,11 @@ def _blocked_scan(m, inc_u, inc_v, u, v):
     come from M's cached ``_toeplitz(m)``. A block of L = BLOCK steps that
     starts from state s runs as if from zero with M s added to its first
     input, so that x[i] = sum_{j<=i} M^(i-j) f[j] with f[0] += M s: one
-    matmul with W for every block. The start states come first, from
-    s' = M^L s + e in a loop over the blocks, where e is the block's end
-    state from zero, read off two columns of W.
+    matmul with W for every block. The start states come first. They obey
+    s' = M^L s + e, where e is a block's end state from zero, read off two
+    columns of W: the same recurrence over blocks, which this function
+    scans one level up, with M^L in place of M. At most BLOCK + 1 blocks
+    are carried in a plain loop instead. Returns two views of one buffer.
     """
     L, n = BLOCK, len(inc_u)
     n_blocks, k = -(-n // L), n // L
@@ -471,20 +491,28 @@ def _blocked_scan(m, inc_u, inc_v, u, v):
         F[:k, r] = inc[:k * L].reshape(k, L)
         F[k:, r, :n - k * L] = inc[k * L:]
     F2 = F.reshape(n_blocks, 2 * L)
-    (a00, a01, a10, a11), W = _toeplitz(m)
-    ends = F2 @ W[:, L - 1::L]
+    mL, W = _toeplitz(m)
+    ends = F2[:-1] @ W[:, L - 1::L]  # of every block but the last
 
-    starts = []
-    for eu, ev in ends.tolist():
-        starts.append((u, v))
-        u, v = a00 * u + a01 * v + eu, a10 * u + a11 * v + ev
-    su, sv = np.array(starts).T
+    if n_blocks <= L + 1:
+        a00, a01, a10, a11 = mL
+        starts = [(u, v)]
+        for eu, ev in ends.tolist():
+            u, v = a00 * u + a01 * v + eu, a10 * u + a11 * v + ev
+            starts.append((u, v))
+        su, sv = np.array(starts).T
+    else:
+        su, sv = np.empty((2, n_blocks))
+        su[0], sv[0] = u, v
+        su[1:], sv[1:] = _blocked_scan(mL, ends[:, 0], ends[:, 1], u, v)
     m00, m01, m10, m11 = m
     # f + (M s): the loop's own operations, so step 0 equals step() bit for bit
     F[:, 0, 0] += m00 * su + m01 * sv
     F[:, 1, 0] += m10 * su + m11 * sv
-    x = (F2 @ W).reshape(n_blocks, 2, L)
-    return x[:, 0].reshape(-1)[:n], x[:, 1].reshape(-1)[:n]
+    x = np.empty((2, n_blocks, L))
+    np.matmul(F2, W[:, :L], out=x[0])
+    np.matmul(F2, W[:, L:], out=x[1])
+    return x[0].reshape(-1)[:n], x[1].reshape(-1)[:n]
 
 
 def _loop_scan(m, inc_u, inc_v, u, v):
@@ -538,8 +566,11 @@ def resonance_response(params: RafParams, drive_frequency: float,
     if n_steps < 2:
         raise ValueError(f"duration must cover at least 2 steps, got {duration!r}: "
                          f"{n_steps} steps of dt = {dt!r}")
-    t_mid = (np.arange(n_steps) + 0.5) * dt
-    currents = drive_amplitude * np.sin(2.0 * math.pi * drive_frequency * t_mid)
-    trace = simulate(params, InputSignal(dense=currents), dt, n_steps)
+    drive = np.arange(0.5, n_steps)  # step midpoints; amp * sin(2*pi*f * t) in place
+    drive *= dt
+    drive *= 2.0 * math.pi * drive_frequency
+    np.sin(drive, out=drive)
+    drive *= drive_amplitude
+    trace = simulate(params, InputSignal(dense=drive), dt, n_steps)
     steady = trace.v[int(0.6 * n_steps):]
     return float(np.max(np.abs(steady)))

@@ -7,6 +7,8 @@ of the input integral, and FFT/cross-correlation trace analysis.
 
 import dataclasses
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -262,6 +264,28 @@ class TestInputVector:
                 step(NeuronState(), p, 0.0, 1e10, hold_current=1.0)
 
 
+    @pytest.mark.parametrize("dt", [5e7, 1e8])
+    def test_rejects_a_scale_above_2_to_the_1022(self, dt):
+        # max|A|*dt is finite, but halving it below 0.5 takes over 1023 halvings:
+        # 5e307 > 2**1022, and at 1e308 doubling it overflows
+        p = RafParams(omega_u=1e300, omega_v=0.0)
+        match = (re.escape(f"max|A|*dt = {dt * 1e300!r} is above 2**1022 for RafParams(")
+                 + r".*" + re.escape(f"), dt={dt!r}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError, match=match):
+                input_vector(p, dt)
+            with pytest.raises(SimulationError, match=match):
+                step(NeuronState(), p, 0.0, dt)
+            with pytest.raises(SimulationError, match=match):
+                simulate(p, InputSignal(), dt, 3)
+
+    def test_scale_2_to_the_1022_still_builds(self):
+        # the largest scale whose step halves to 0.5 within a float
+        b = input_vector(RafParams(omega_u=2.0**1022, omega_v=0.0), 1.0)
+        assert np.all(np.isfinite(b))
+
+
 class TestStep:
     def test_quarter_period_rotation_of_state(self):
         p = RafParams(omega_u=TWO_PI * 1000, omega_v=TWO_PI * 1000)
@@ -451,7 +475,23 @@ class TestScanKernel:
         assert_matches_loop(p, mixed_input(p, dt, n_steps, seed), dt, n_steps,
                             NeuronState(u0, v0))
 
-    @pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 20_000])
+    # the scan carries at most BLOCK + 1 blocks in a loop and scans more one
+    # level up: past BLOCK*(BLOCK+1) steps a second level, past
+    # BLOCK*(BLOCK*(BLOCK+1)+1) a third
+    @settings(max_examples=15, deadline=None)
+    @given(raf_params(), st.floats(0.001, 0.5),
+           st.integers(BLOCK * (BLOCK + 1) + 1, 4 * BLOCK * (BLOCK + 1)),
+           st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1))
+    def test_matches_loop_across_levels(self, p, cycles_per_step, n_steps, u0, v0, seed):
+        # more than BLOCK + 1 blocks: the start states come from a second level
+        dt = cycles_per_step / max(p.resonance_frequency, p.k_u, p.k_v, 1.0)
+        assert_matches_loop(p, mixed_input(p, dt, n_steps, seed), dt, n_steps,
+                            NeuronState(u0, v0))
+
+    @pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 20_000,
+                                         BLOCK * (BLOCK + 1) - 1, BLOCK * (BLOCK + 1),
+                                         BLOCK * (BLOCK + 1) + 1, BLOCK**2 * (BLOCK + 1) + 1,
+                                         BLOCK * (BLOCK * (BLOCK + 1) + 1) + 1])
     def test_block_edges(self, n_steps):
         p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
         dt = 1.0 / (64 * 250)
@@ -509,6 +549,38 @@ class TestScanKernel:
         with pytest.raises(SimulationError, match=f"at step {failing_step} "):
             simulate(p, InputSignal(dense=currents), dt, 200)
 
+    @pytest.mark.parametrize("p, n_steps, onset, failing_step", [
+        (RafParams(omega_u=0.0, omega_v=0.0), 3000, 2000, 2002),  # second level
+        (RafParams(omega_u=0.0, omega_v=0.0), 40_000, 35_000, 35_002),  # third level
+        (RafParams(omega_u=0.3, omega_v=0.3, tau_u=50.0), 40_000, 35_000, 35_001),
+    ])
+    def test_error_names_a_failing_step_past_the_first_upper_block(self, p, n_steps, onset,
+                                                                   failing_step):
+        # past BLOCK**2 steps; the non-finite value spreads over an upper
+        # level's block, steps before the onset included
+        currents = np.zeros(n_steps)
+        currents[onset:] = 0.6e308 if p.omega_u == 0.0 else 1e308
+        with pytest.raises(SimulationError, match=f"at step {failing_step} "):
+            simulate(p, InputSignal(dense=currents), 1.0, n_steps)
+
+    def test_simulate_allocates_at_most_seven_arrays_of_its_length(self):
+        # the fresh buffers of a dense+events run: forcing, block inputs and
+        # the states, each two arrays of n floats, and little else
+        n = 100_000
+        w = TWO_PI * 1e5
+        p = RafParams(omega_u=w, omega_v=w, tau_u=2e4 / w, tau_v=2e4 / w)
+        dt = 1.0 / (4096 * 1e5)
+        signal = mixed_input(p, dt, n, 4)
+        assert signal.dense is not None and len(signal.events) > 0
+        simulate(p, signal, dt, n)  # fills the propagator caches
+        tracemalloc.start()
+        try:
+            simulate(p, signal, dt, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * n * 8
+
 
 class TestPropagator:
     """The cached (m, b) per (omega_u, omega_v, tau_u, tau_v, dt), and (m64, W) per M."""
@@ -535,6 +607,15 @@ class TestPropagator:
         hits = _build_propagator.cache_info().hits
         step(NeuronState(0.3, -0.4), p, 0.5, 1e-4, hold_current=2.0)
         assert _build_propagator.cache_info().hits == hits + 1
+
+    def test_errors_name_the_callers_params(self):
+        # the cache key has theta = 0; the error names the theta passed in
+        p = RafParams(omega_u=1e300, omega_v=0.0, theta=0.3)
+        match = r"non-finite input vector for RafParams\(.*theta=0\.3\), dt=100000\.0"
+        with pytest.raises(SimulationError, match=match):
+            step(NeuronState(), p, 0.0, 1e5)
+        with pytest.raises(SimulationError, match=match):
+            simulate(p, InputSignal(), 1e5, 1)
 
     def test_dt_one_ulp_apart_do_not_share(self):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.05)
