@@ -263,7 +263,6 @@ class TestInputVector:
             with pytest.raises(SimulationError, match=match):
                 step(NeuronState(), p, 0.0, 1e10, hold_current=1.0)
 
-
     @pytest.mark.parametrize("dt", [5e7, 1e8])
     def test_rejects_a_scale_above_2_to_the_1022(self, dt):
         # max|A|*dt is finite, but halving it below 0.5 takes over 1023 halvings:
@@ -475,9 +474,6 @@ class TestScanKernel:
         assert_matches_loop(p, mixed_input(p, dt, n_steps, seed), dt, n_steps,
                             NeuronState(u0, v0))
 
-    # the scan carries at most BLOCK + 1 blocks in a loop and scans more one
-    # level up: past BLOCK*(BLOCK+1) steps a second level, past
-    # BLOCK*(BLOCK*(BLOCK+1)+1) a third
     @settings(max_examples=15, deadline=None)
     @given(raf_params(), st.floats(0.001, 0.5),
            st.integers(BLOCK * (BLOCK + 1) + 1, 4 * BLOCK * (BLOCK + 1)),
@@ -488,6 +484,9 @@ class TestScanKernel:
         assert_matches_loop(p, mixed_input(p, dt, n_steps, seed), dt, n_steps,
                             NeuronState(u0, v0))
 
+    # the scan carries at most BLOCK + 1 blocks in a loop and scans more one
+    # level up: past BLOCK*(BLOCK+1) steps a second level, past
+    # BLOCK*(BLOCK*(BLOCK+1)+1) a third
     @pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 20_000,
                                          BLOCK * (BLOCK + 1) - 1, BLOCK * (BLOCK + 1),
                                          BLOCK * (BLOCK + 1) + 1, BLOCK**2 * (BLOCK + 1) + 1,
@@ -549,17 +548,17 @@ class TestScanKernel:
         with pytest.raises(SimulationError, match=f"at step {failing_step} "):
             simulate(p, InputSignal(dense=currents), dt, 200)
 
-    @pytest.mark.parametrize("p, n_steps, onset, failing_step", [
-        (RafParams(omega_u=0.0, omega_v=0.0), 3000, 2000, 2002),  # second level
-        (RafParams(omega_u=0.0, omega_v=0.0), 40_000, 35_000, 35_002),  # third level
-        (RafParams(omega_u=0.3, omega_v=0.3, tau_u=50.0), 40_000, 35_000, 35_001),
+    @pytest.mark.parametrize("p, n_steps, onset, current, failing_step", [
+        (RafParams(omega_u=0.0, omega_v=0.0), 3000, 2000, 0.6e308, 2002),  # second level
+        (RafParams(omega_u=0.0, omega_v=0.0), 40_000, 35_000, 0.6e308, 35_002),  # third level
+        (RafParams(omega_u=0.3, omega_v=0.3, tau_u=50.0), 40_000, 35_000, 1e308, 35_001),
     ])
     def test_error_names_a_failing_step_past_the_first_upper_block(self, p, n_steps, onset,
-                                                                   failing_step):
+                                                                   current, failing_step):
         # past BLOCK**2 steps; the non-finite value spreads over an upper
         # level's block, steps before the onset included
         currents = np.zeros(n_steps)
-        currents[onset:] = 0.6e308 if p.omega_u == 0.0 else 1e308
+        currents[onset:] = current
         with pytest.raises(SimulationError, match=f"at step {failing_step} "):
             simulate(p, InputSignal(dense=currents), 1.0, n_steps)
 
@@ -583,7 +582,7 @@ class TestScanKernel:
 
 
 class TestPropagator:
-    """The cached (m, b) per (omega_u, omega_v, tau_u, tau_v, dt), and (m64, W) per M."""
+    """The cached (m, b) per (omega_u, omega_v, tau_u, tau_v, dt), and (mL, W) per M."""
 
     def test_cold_cache_gives_the_same_bits_as_warm(self):
         p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
