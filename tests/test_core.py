@@ -582,7 +582,7 @@ class TestScanKernel:
 
 
 class TestPropagator:
-    """The cached (m, b) per (omega_u, omega_v, tau_u, tau_v, dt), and (mL, W) per M."""
+    """The cached (m, b) per (omega_u, omega_v, tau_u, tau_v, dt), and (m64, W) per M."""
 
     def test_cold_cache_gives_the_same_bits_as_warm(self):
         p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
