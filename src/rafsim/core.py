@@ -16,7 +16,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -207,7 +208,11 @@ class StateTrace:
 
     @classmethod
     def from_csv(cls, path, metadata=None) -> "StateTrace":
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():  # a file without rows raises below instead
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if not len(rows):
+            raise ValueError(f"trace file {str(path)!r} has no rows")
         # t = (i+1)*dt, so t[1] - t[0] = 2*dt - dt is exact (Sterbenz)
         dt = rows[0, 0] if len(rows) == 1 else rows[1, 0] - rows[0, 0]
         return cls(dt=float(dt), u=rows[:, 1], v=rows[:, 2],
@@ -266,9 +271,8 @@ def transition_terms(omega_u, omega_v, k_u, k_v, dt):
 def transition_matrix(params: RafParams, dt: float) -> np.ndarray:
     """Exact one-step propagator exp(A*dt) as a 2x2 array."""
     _check_dt(dt)
-    m00, m01, m10, m11 = transition_terms(
-        params.omega_u, params.omega_v, params.k_u, params.k_v, dt)
-    mat = np.array([[m00, m01], [m10, m11]], dtype=float)
+    mat = np.reshape(transition_terms(params.omega_u, params.omega_v, params.k_u, params.k_v, dt),
+                     (2, 2))
     if not np.all(np.isfinite(mat)):
         raise SimulationError(f"non-finite transition matrix for {params!r}, dt={dt!r}")
     return mat
@@ -300,12 +304,13 @@ def input_vector(params: RafParams, dt: float) -> np.ndarray:
         term = term @ A * (h / (k + 1))
         G = G + term
 
-    E = transition_matrix(params, h)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite b raises below
+    E = np.reshape(transition_terms(params.omega_u, params.omega_v, params.k_u, params.k_v, h),
+                   (2, 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite E or b raises below
         for _ in range(n_half):
             G = G + E @ G
             E = E @ E
-    b = G @ np.array([1.0, 0.0])
+        b = G @ np.array([1.0, 0.0])
     if not np.all(np.isfinite(b)):
         raise SimulationError(f"non-finite input vector for {params!r}, dt={dt!r}")
     return b
@@ -321,12 +326,12 @@ def step(state: NeuronState, params: RafParams, input_increment: float,
     itself is never reset.
 
     M and the zero-order-hold vector b come from simulate's cache
-    (``_propagator``), so a step equals a one-step simulate bit for bit and
-    fails wherever simulate fails, even with no current: a b that is not
-    finite raises SimulationError whatever hold_current is.
+    (``_propagator``, keyed by params and dt), so a step equals a one-step
+    simulate bit for bit and fails wherever simulate fails, even with no
+    current: a b that is not finite raises SimulationError whatever
+    hold_current is.
     """
-    _check_dt(dt)
-    (m00, m01, m10, m11), (b0, b1) = _propagator(params, dt)
+    (m00, m01, m10, m11), (b0, b1) = _propagator(params, dt)  # checks dt
     fu, fv = input_increment + b0 * hold_current, b1 * hold_current  # summed first, as in _forcing
     u = m00 * state.u + m01 * state.v + fu
     v = m10 * state.u + m11 * state.v + fv
@@ -338,13 +343,14 @@ def step(state: NeuronState, params: RafParams, input_increment: float,
 
 
 @functools.lru_cache(maxsize=8)
-def _build_propagator(params: RafParams, dt: float):
-    """(m, b) of params at step dt, memoised; params.theta is always 0.
+def _propagator(params: RafParams, dt: float):
+    """(m, b) of params at step dt, memoised; read by step and simulate.
 
     m = (m00, m01, m10, m11) holds the entries of M = exp(A*dt), and
     b = (b0, b1) = input_vector(params, dt) the zero-order-hold vector;
-    input_vector checks dt. A non-finite M is kept, and simulate reports the
-    step where the state first leaves the finite range.
+    input_vector checks dt. The key is the caller's params, so an error
+    raised while building names them. A non-finite M is kept, and simulate
+    reports the step where the state first leaves the finite range.
     """
     # b before M: the benchmark's tracer takes the last transition_terms span
     # of a run as M's own, directly under simulate
@@ -352,22 +358,6 @@ def _build_propagator(params: RafParams, dt: float):
     m = tuple(map(float, transition_terms(
         params.omega_u, params.omega_v, params.k_u, params.k_v, dt)))
     return m, b
-
-
-def _propagator(params: RafParams, dt: float):
-    """The cached (m, b) of params at step dt, read by step and simulate.
-
-    theta enters neither M nor b, so neurons that differ only in their
-    threshold share one entry. The key is params with theta set to 0, so b
-    is built from the very fields that input_vector reads. A SimulationError
-    raised while building names the caller's params, not the key.
-    """
-    key = replace(params, theta=0.0)
-    try:
-        return _build_propagator(key, dt)
-    except SimulationError as err:
-        err.args = (str(err).replace(repr(key), repr(params)),)
-        raise
 
 
 @functools.lru_cache(maxsize=8)  # 8 W matrices of 32 KiB: 256 KiB in all
@@ -403,9 +393,9 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     """Simulate n_steps of the neuron; deterministic given its inputs.
 
     Propagator: two small LRU caches of 8 entries each. M = exp(A*dt) and
-    the zero-order-hold vector b are built once per (omega_u, omega_v,
-    tau_u, tau_v, dt) (``_propagator``, which step reads too). The kernel's
-    M^BLOCK and block matrix W depend on M alone and are built once per M
+    the zero-order-hold vector b are built once per (params, dt)
+    (``_propagator``, which step reads too). The kernel's M^BLOCK and block
+    matrix W depend on M alone and are built once per M
     (``_toeplitz``, 256 KiB in all); the scan's upper levels take theirs
     from the same cache. A repeated dt, such as the points of a resonance
     sweep below resonance, reuses both. Results are the same bit for bit
@@ -417,13 +407,13 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     its first input as M s, and one matmul with the block-Toeplitz matrix of
     M^0..M^31 gives every state. The start states obey the same recurrence
     over blocks, with M^32 in place of M, and are scanned the same way one
-    level up, until at most BLOCK + 1 blocks are left for a plain-float
-    loop: 100k steps take three levels, the last with 4 blocks. M is never
-    diagonalised, so the defective propagator of critical damping needs no
-    special case. With the carry loop-free, the matmul's 8 * BLOCK flops per
-    step set the block length: on a 2-vCPU Xeon, 32 steps scanned 12.7k and
-    100k steps about 20% faster than 64, and 16 was no faster than 32 and
-    strayed further from the loop (7.4e-13 of scale at Q = 1e4).
+    level up, until at most BLOCK + 1 blocks are left for the per-step loop
+    (``_loop_scan``): 100k steps take three levels, the last with 4 blocks.
+    M is never diagonalised, so the defective propagator of critical damping
+    needs no special case. With the carry loop-free, the matmul's 8 * BLOCK
+    flops per step set the block length: on a 2-vCPU Xeon, 32 steps scanned
+    12.7k and 100k steps about 20% faster than 64, and 16 was no faster than
+    32 and strayed further from the loop (7.4e-13 of scale at Q = 1e4).
 
     Precision: against the per-step loop it replaced (``_loop_scan``), the
     states agree within 1e-12 of the trace's largest |state|, Q >= 1e4 at
@@ -436,9 +426,8 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     per-step loop first leaves the finite range.
     """
     _check_count("n_steps", n_steps)
-    _check_dt(dt)
     state = initial_state or NeuronState()
-    m, b = _propagator(params, dt)
+    m, b = _propagator(params, dt)  # checks dt
     with np.errstate(over="ignore", invalid="ignore"):
         inc_u, inc_v = _forcing(b, dt, input_signal, n_steps)
         us, vs = _blocked_scan(m, inc_u, inc_v, state.u, state.v)
@@ -482,7 +471,7 @@ def _blocked_scan(m, inc_u, inc_v, u, v):
     s' = M^L s + e, where e is a block's end state from zero, read off two
     columns of W: the same recurrence over blocks, which this function
     scans one level up, with M^L in place of M. At most BLOCK + 1 blocks
-    are carried in a plain loop instead. Returns two views of one buffer.
+    are carried by ``_loop_scan`` instead. Returns two views of one buffer.
     """
     L, n = BLOCK, len(inc_u)
     n_blocks, k = -(-n // L), n // L
@@ -493,18 +482,10 @@ def _blocked_scan(m, inc_u, inc_v, u, v):
     F2 = F.reshape(n_blocks, 2 * L)
     mL, W = _toeplitz(m)
     ends = F2[:-1] @ W[:, L - 1::L]  # of every block but the last
-
-    if n_blocks <= L + 1:
-        a00, a01, a10, a11 = mL
-        starts = [(u, v)]
-        for eu, ev in ends.tolist():
-            u, v = a00 * u + a01 * v + eu, a10 * u + a11 * v + ev
-            starts.append((u, v))
-        su, sv = np.array(starts).T
-    else:
-        su, sv = np.empty((2, n_blocks))
-        su[0], sv[0] = u, v
-        su[1:], sv[1:] = _blocked_scan(mL, ends[:, 0], ends[:, 1], u, v)
+    su, sv = np.empty((2, n_blocks))
+    su[0], sv[0] = u, v
+    scan = _loop_scan if n_blocks <= L + 1 else _blocked_scan
+    su[1:], sv[1:] = scan(mL, ends[:, 0], ends[:, 1], u, v)
     m00, m01, m10, m11 = m
     # f + (M s): the loop's own operations, so step 0 equals step() bit for bit
     F[:, 0, 0] += m00 * su + m01 * sv
@@ -516,10 +497,12 @@ def _blocked_scan(m, inc_u, inc_v, u, v):
 
 
 def _loop_scan(m, inc_u, inc_v, u, v):
-    """Reference for _blocked_scan: the recurrence one step per iteration.
+    """The recurrence one step per iteration: _blocked_scan's reference.
 
-    m = (m00, m01, m10, m11) holds M. States after the first non-finite one
-    are left NaN.
+    It also carries the block start states at the top level of
+    _blocked_scan, and finishes a run in which simulate meets a non-finite
+    state. m = (m00, m01, m10, m11) holds M. States after the first
+    non-finite one are left NaN.
     """
     m00, m01, m10, m11 = m
     us = np.full(len(inc_u), np.nan)

@@ -25,7 +25,6 @@ from rafsim.core import (
     RafParams,
     SimulationError,
     StateTrace,
-    _build_propagator,
     _forcing,
     _loop_scan,
     _propagator,
@@ -278,6 +277,19 @@ class TestInputVector:
                 step(NeuronState(), p, 0.0, dt)
             with pytest.raises(SimulationError, match=match):
                 simulate(p, InputSignal(), dt, 3)
+
+    def test_a_non_finite_half_step_names_the_callers_dt(self):
+        # k_u = 1e300 gives exp(A*h) an infinite entry at the halved step h
+        p = RafParams(omega_u=1.0, omega_v=1.0, tau_u=1e-300)
+        match = r"non-finite input vector for RafParams\(.*tau_u=1e-300.*\), dt=0\.001$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError, match=match):
+                input_vector(p, 1e-3)
+            with pytest.raises(SimulationError, match=match):
+                step(NeuronState(), p, 0.0, 1e-3)
+            with pytest.raises(SimulationError, match=match):
+                simulate(p, InputSignal(), 1e-3, 3)
 
     def test_scale_2_to_the_1022_still_builds(self):
         # the largest scale whose step halves to 0.5 within a float
@@ -582,33 +594,33 @@ class TestScanKernel:
 
 
 class TestPropagator:
-    """The cached (m, b) per (omega_u, omega_v, tau_u, tau_v, dt), and (m64, W) per M."""
+    """The cached (m, b) per (params, dt), and (mL, W) per M."""
 
     def test_cold_cache_gives_the_same_bits_as_warm(self):
         p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
         dt, n_steps = 1.0 / (64 * 250), 1000
         signal = mixed_input(p, dt, n_steps, 5)
-        _build_propagator.cache_clear()
+        _propagator.cache_clear()
         _toeplitz.cache_clear()
         cold = simulate(p, signal, dt, n_steps)
         cold_peak = resonance_response(p, 180.0, 2.0, 0.1)
-        hits = _build_propagator.cache_info().hits
+        hits = _propagator.cache_info().hits
         warm = simulate(p, signal, dt, n_steps)
-        assert _build_propagator.cache_info().hits > hits
+        assert _propagator.cache_info().hits > hits
         for a, b in ((cold.u, warm.u), (cold.v, warm.v), (cold.z, warm.z)):
             np.testing.assert_array_equal(a, b)
         assert resonance_response(p, 180.0, 2.0, 0.1) == cold_peak
 
     def test_step_reads_the_cache(self):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 90, tau_u=0.05, theta=0.5)
-        _build_propagator.cache_clear()
+        _propagator.cache_clear()
         step(NeuronState(0.1, 0.2), p, 0.0, 1e-4)
-        hits = _build_propagator.cache_info().hits
+        hits = _propagator.cache_info().hits
         step(NeuronState(0.3, -0.4), p, 0.5, 1e-4, hold_current=2.0)
-        assert _build_propagator.cache_info().hits == hits + 1
+        assert _propagator.cache_info().hits == hits + 1
 
     def test_errors_name_the_callers_params(self):
-        # the cache key has theta = 0; the error names the theta passed in
+        # the cache key is the caller's params, so the error names the theta passed in
         p = RafParams(omega_u=1e300, omega_v=0.0, theta=0.3)
         match = r"non-finite input vector for RafParams\(.*theta=0\.3\), dt=100000\.0"
         with pytest.raises(SimulationError, match=match):
@@ -622,10 +634,10 @@ class TestPropagator:
         assert _propagator(p, dt) is not _propagator(p, math.nextafter(dt, 1.0))
         assert _propagator(p, dt) is _propagator(p, dt)
 
-    def test_params_differing_only_in_theta_share(self):
+    def test_theta_enters_neither_m_nor_b(self):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 90, tau_u=0.05, theta=0.5)
         q = dataclasses.replace(p, theta=7.0)
-        assert _propagator(p, 1e-4) is _propagator(q, 1e-4)
+        assert _propagator(p, 1e-4) == _propagator(q, 1e-4)
 
     def test_cache_holds_at_most_one_mib_of_w(self):
         p = RafParams(omega_u=1.0, omega_v=1.0)
@@ -814,6 +826,15 @@ class TestTypesAndValidation:
         u, v, z = (np.zeros(k) for k in lengths)
         with pytest.raises(ValueError, match="u, v and z must have equal lengths"):
             StateTrace(dt=1e-3, u=u, v=v, z=z)
+
+    def test_trace_csv_without_rows_is_an_error(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("t,u,v,z\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            match = re.escape(f"trace file {str(path)!r} has no rows")
+            with pytest.raises(ValueError, match=match):
+                StateTrace.from_csv(path)
 
     def test_trace_csv_roundtrip_one_row(self, tmp_path):
         trace = StateTrace(dt=0.1, u=np.array([0.1 + 0.2]), v=np.array([-1e-300]),
