@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 BLOCK = 32  # steps per block of simulate's scan
+CHUNK = 128  # block rows per matmul of simulate's scan: a 64 KiB buffer
 
 
 class SimulationError(RuntimeError):
@@ -213,6 +214,9 @@ class StateTrace:
             rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         if not len(rows):
             raise ValueError(f"trace file {str(path)!r} has no rows")
+        if rows.shape[1] != 4:
+            raise ValueError(f"trace file {str(path)!r} has {rows.shape[1]} columns, "
+                             f"expected 4 (t, u, v, z)")
         # t = (i+1)*dt, so t[1] - t[0] = 2*dt - dt is exact (Sterbenz)
         dt = rows[0, 0] if len(rows) == 1 else rows[1, 0] - rows[0, 0]
         return cls(dt=float(dt), u=rows[:, 1], v=rows[:, 2],
@@ -367,9 +371,11 @@ def _toeplitz(m):
     mL: the entries of M^L for L = BLOCK, M multiplied out L times as the
         per-step loop would, which carries a block's start state to the
         next block; the scan's next level runs on it, from this same cache.
-    W: the read-only (2*L, 2*L) block-Toeplitz matrix of M^0..M^(L-1);
-        W[c*L + j, r*L + i] = M^(i-j)[r, c] carries input c at step j of a
-        block to state r at step i.
+    W: the read-only (2*L, 2*L) block-Toeplitz matrix of M^0..M^(L-1) in
+        step-major order: W[2*j + c, 2*i + r] = M^(i-j)[r, c] carries input
+        c at step j of a block to state r at step i. Its diagonal is exactly
+        1 and everything below it is 0, and its last two columns give a
+        block's end state.
     """
     L = BLOCK
     m00, m01, m10, m11 = m
@@ -383,7 +389,7 @@ def _toeplitz(m):
     P = np.zeros((2, 2, 2 * L - 1))  # P[r, c, L-1 + k] = M^k[r, c], zero for k < 0
     P[:, :, L - 1:] = np.reshape(powers, (L, 2, 2)).transpose(1, 2, 0)
     # window s of P[r, c] starts at lag s - (L-1), so row j of W reads window L-1-j
-    W = sliding_window_view(P, L, axis=2)[:, :, ::-1].transpose(1, 2, 0, 3).reshape(2 * L, 2 * L)
+    W = sliding_window_view(P, L, axis=2)[:, :, ::-1].transpose(2, 1, 3, 0).reshape(2 * L, 2 * L)
     W.flags.writeable = False  # shared by every hit
     return mk, W
 
@@ -402,9 +408,13 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     whether the caches are warm or cold.
 
     Kernel: an exact multi-level blocked scan over the real 2x2 propagator
-    M (``_blocked_scan``), the chunked scan of a linear state-space recurrence.
-    Each block of BLOCK = 32 steps enters with its start state s folded into
-    its first input as M s, and one matmul with the block-Toeplitz matrix of
+    M (``_blocked_scan``), the chunked scan of a linear state-space recurrence,
+    run in place in one buffer. The per-step inputs are written into one
+    step-major (steps, 2) array of (u, v) pairs, padded with zeros to whole
+    blocks of BLOCK = 32 steps, and the scan turns them into the states
+    where they lie; the trace's u and v are strided views of its two
+    columns. Each block enters with its start state s folded into its first
+    input as M s, and one matmul with the block-Toeplitz matrix of
     M^0..M^31 gives every state. The start states obey the same recurrence
     over blocks, with M^32 in place of M, and are scanned the same way one
     level up, until at most BLOCK + 1 blocks are left for the per-step loop
@@ -414,10 +424,11 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     flops per step set the block length: on a 2-vCPU Xeon, 32 steps scanned
     12.7k and 100k steps about 20% faster than 64, and 16 was no faster than
     32 and strayed further from the loop (7.4e-13 of scale at Q = 1e4).
+    The scan allocates no other array of the run's length.
 
     Precision: against the per-step loop it replaced (``_loop_scan``), the
     states agree within 1e-12 of the trace's largest |state|, Q >= 1e4 at
-    100k steps included (2.2e-13). The scan's error grows with the length
+    100k steps included (2.7e-13). The scan's error grows with the length
     of the run, as M^32 carries the rounding of its 32 products: an
     undamped neuron at 16 steps per cycle drifts by about 8e-18 of scale per
     step, 8e-13 at 100k steps and 2.4e-12 at 300k, where the loop stays
@@ -428,18 +439,24 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     _check_count("n_steps", n_steps)
     state = initial_state or NeuronState()
     m, b = _propagator(params, dt)  # checks dt
+    X = np.zeros((-(-n_steps // BLOCK) * BLOCK, 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        inc_u, inc_v = _forcing(b, dt, input_signal, n_steps)
-        us, vs = _blocked_scan(m, inc_u, inc_v, state.u, state.v)
+        _forcing(b, dt, input_signal, X[:n_steps])
+        _blocked_scan(m, X, state.u, state.v)
+    us, vs = X[:n_steps, 0], X[:n_steps, 1]
     finite = np.isfinite(us) & np.isfinite(vs)
     if not finite.all():
         # A non-finite value spreads over its whole block at every level of
         # the kernel, earlier steps included, and the kernel can overflow
         # where the loop would not; the per-step loop, restarted at the first
-        # block it reaches, finds the step or finishes the run.
+        # block it reaches, finds the step or finishes the run. The scan has
+        # overwritten the inputs, so the loop gets them anew.
         start = int(np.argmin(finite)) // BLOCK * BLOCK
         u0, v0 = (float(us[start - 1]), float(vs[start - 1])) if start else (state.u, state.v)
-        us[start:], vs[start:] = _loop_scan(m, inc_u[start:], inc_v[start:], u0, v0)
+        f = np.zeros((n_steps, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _forcing(b, dt, input_signal, f)
+        us[start:], vs[start:] = _loop_scan(m, f[start:, 0], f[start:, 1], u0, v0)
         finite = np.isfinite(us) & np.isfinite(vs)
         if not finite.all():
             raise SimulationError(f"non-finite state at step {int(np.argmin(finite))} "
@@ -449,51 +466,62 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
                       metadata={"params": params, "n_steps": n_steps})
 
 
-def _forcing(b, dt, input_signal, n_steps):
-    """Per-step additive inputs (inc_u, inc_v): impulses plus the ZOH current b*I."""
-    inc_u = input_signal.impulse_increments(dt, n_steps)
-    currents = input_signal.dense_currents(n_steps)
-    if not np.any(currents):
-        return inc_u, np.zeros(n_steps)
-    b0, b1 = b
-    inc_u += b0 * currents  # inc_u is a fresh array
-    return inc_u, b1 * currents
+def _forcing(b, dt, input_signal, out):
+    """Write the per-step inputs into out, an (n_steps, 2) array of zeros.
 
-
-def _blocked_scan(m, inc_u, inc_v, u, v):
-    """States of x[i] = M x[i-1] + (inc_u[i], inc_v[i]) from x[-1] = (u, v).
-
-    m = (m00, m01, m10, m11) holds M; M^L and the block-Toeplitz matrix W
-    come from M's cached ``_toeplitz(m)``. A block of L = BLOCK steps that
-    starts from state s runs as if from zero with M s added to its first
-    input, so that x[i] = sum_{j<=i} M^(i-j) f[j] with f[0] += M s: one
-    matmul with W for every block. The start states come first. They obey
-    s' = M^L s + e, where e is a block's end state from zero, read off two
-    columns of W: the same recurrence over blocks, which this function
-    scans one level up, with M^L in place of M. At most BLOCK + 1 blocks
-    are carried by ``_loop_scan`` instead. Returns two views of one buffer.
+    Column 0 gets the u input, impulses plus b0*I, and column 1 the v
+    input b1*I, where I is the dense current held over each step (ZOH).
     """
-    L, n = BLOCK, len(inc_u)
-    n_blocks, k = -(-n // L), n // L
-    F = np.zeros((n_blocks, 2, L))  # block-major, zero past step n
-    for r, inc in enumerate((inc_u, inc_v)):
-        F[:k, r] = inc[:k * L].reshape(k, L)
-        F[k:, r, :n - k * L] = inc[k * L:]
-    F2 = F.reshape(n_blocks, 2 * L)
+    n_steps = len(out)
+    if input_signal.dense is not None:
+        currents = input_signal.dense_currents(n_steps)  # checks the length
+        b0, b1 = b
+        np.multiply(currents, b0, out=out[:, 0])
+        np.multiply(currents, b1, out=out[:, 1])
+    if len(input_signal.events):
+        out[:, 0] += input_signal.impulse_increments(dt, n_steps)
+
+
+def _blocked_scan(m, X, u, v):
+    """Turn X into the states of x[i] = M x[i-1] + X[i] from x[-1] = (u, v), in place.
+
+    X is a C-ordered (n_blocks * L, 2) array of per-step (u, v) inputs, zero
+    past the run, for L = BLOCK; m = (m00, m01, m10, m11) holds M, and M^L
+    and the block-Toeplitz matrix W come from M's cached ``_toeplitz(m)``.
+    Seen as (n_blocks, 2 * L), each row of X is one block, and a block that
+    starts from state s runs as if from zero with M s added to its first
+    input: x[i] = sum_{j<=i} M^(i-j) f[j] with f[0] += M s, that is the
+    block's row times W. The start states come first. They obey
+    s' = M^L s + e, where e is a block's end state from zero, its row times
+    the last two columns of W: the same recurrence over blocks, which this
+    function scans one level up in a buffer of its own, with M^L in place
+    of M. At most BLOCK + 1 blocks are carried by ``_loop_scan`` instead.
+    Every row of the product depends on that row alone, so the rows are
+    multiplied a chunk at a time through one small buffer and written back.
+    """
+    L = BLOCK
+    n_blocks = len(X) // L
+    F = X.reshape(n_blocks, 2 * L)  # a view
     mL, W = _toeplitz(m)
-    ends = F2[:-1] @ W[:, L - 1::L]  # of every block but the last
-    su, sv = np.empty((2, n_blocks))
-    su[0], sv[0] = u, v
-    scan = _loop_scan if n_blocks <= L + 1 else _blocked_scan
-    su[1:], sv[1:] = scan(mL, ends[:, 0], ends[:, 1], u, v)
+    k = n_blocks - 1
+    S = np.zeros((1 + -(-k // L) * L, 2))  # (u, v), then the start states of blocks 1..k
+    S[0] = u, v
+    ends = S[1:n_blocks]
+    np.matmul(F[:-1], W[:, -2:], out=ends)  # e of every block but the last
+    if k <= L:
+        ends[:, 0], ends[:, 1] = _loop_scan(mL, ends[:, 0], ends[:, 1], u, v)
+    else:
+        _blocked_scan(mL, S[1:], u, v)
+    su, sv = S[:n_blocks, 0], S[:n_blocks, 1]
     m00, m01, m10, m11 = m
     # f + (M s): the loop's own operations, so step 0 equals step() bit for bit
-    F[:, 0, 0] += m00 * su + m01 * sv
-    F[:, 1, 0] += m10 * su + m11 * sv
-    x = np.empty((2, n_blocks, L))
-    np.matmul(F2, W[:, :L], out=x[0])
-    np.matmul(F2, W[:, L:], out=x[1])
-    return x[0].reshape(-1)[:n], x[1].reshape(-1)[:n]
+    F[:, 0] += m00 * su + m01 * sv
+    F[:, 1] += m10 * su + m11 * sv
+    rows = np.empty((min(CHUNK, n_blocks), 2 * L))
+    for i in range(0, n_blocks, CHUNK):
+        chunk = F[i:i + CHUNK]
+        np.matmul(chunk, W, out=rows[:len(chunk)])
+        chunk[...] = rows[:len(chunk)]
 
 
 def _loop_scan(m, inc_u, inc_v, u, v):

@@ -81,7 +81,9 @@ def loop_reference(p, signal, dt, n_steps, state=NeuronState()):
     """(u, v) of the per-step reference loop on simulate's own forcing."""
     m = tuple(float(x) for x in transition_terms(p.omega_u, p.omega_v, p.k_u, p.k_v, dt))
     _, b = _propagator(p, dt)
-    return _loop_scan(m, *_forcing(b, dt, signal, n_steps), state.u, state.v)
+    f = np.zeros((n_steps, 2))
+    _forcing(b, dt, signal, f)
+    return _loop_scan(m, f[:, 0], f[:, 1], state.u, state.v)
 
 
 def assert_matches_loop(p, signal, dt, n_steps, state=NeuronState()):
@@ -574,9 +576,10 @@ class TestScanKernel:
         with pytest.raises(SimulationError, match=f"at step {failing_step} "):
             simulate(p, InputSignal(dense=currents), 1.0, n_steps)
 
-    def test_simulate_allocates_at_most_seven_arrays_of_its_length(self):
-        # the fresh buffers of a dense+events run: forcing, block inputs and
-        # the states, each two arrays of n floats, and little else
+    def test_simulate_allocates_at_most_four_arrays_of_its_length(self):
+        # the fresh buffers of a dense+events run: the scan's one buffer of
+        # (u, v) pairs, two arrays of n floats, the binned impulses, one more,
+        # and little else
         n = 100_000
         w = TWO_PI * 1e5
         p = RafParams(omega_u=w, omega_v=w, tau_u=2e4 / w, tau_v=2e4 / w)
@@ -590,7 +593,7 @@ class TestScanKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * n * 8
+        assert peak <= 4 * n * 8
 
 
 class TestPropagator:
@@ -664,6 +667,26 @@ class TestPropagator:
             a, b, c, d = (m00 * a + m01 * c, m00 * b + m01 * d,
                           m10 * a + m11 * c, m10 * b + m11 * d)
         assert _toeplitz((m00, m01, m10, m11))[0] == (a, b, c, d)
+
+    @pytest.mark.parametrize("critical", [False, True])
+    def test_w_rows_are_the_loops_response_to_a_unit_input(self, critical):
+        # row 2j + c of W holds the states (u, v) of each step of a block,
+        # interleaved, after a unit input on component c at step j
+        if critical:
+            w = critical_omega(TWO_PI * 377.0)
+            p, dt = RafParams(omega_u=w, omega_v=w, tau_u=1.0 / (2.0 * w)), 1e-4
+        else:
+            p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
+            dt = 1.0 / (64 * 250)
+        m = tuple(float(x) for x in transition_terms(p.omega_u, p.omega_v, p.k_u, p.k_v, dt))
+        _, W = _toeplitz(m)
+        for j in range(BLOCK):
+            for c in range(2):
+                f = np.zeros((BLOCK, 2))
+                f[j, c] = 1.0
+                us, vs = _loop_scan(m, f[:, 0], f[:, 1], 0.0, 0.0)
+                expected = np.column_stack((us, vs)).ravel()
+                assert W[2 * j + c].tobytes() == expected.tobytes(), (j, c)
 
     def test_cached_arrays_are_read_only(self):
         m, _ = _propagator(RafParams(omega_u=1.0, omega_v=2.0), 1e-3)
@@ -835,6 +858,17 @@ class TestTypesAndValidation:
             match = re.escape(f"trace file {str(path)!r} has no rows")
             with pytest.raises(ValueError, match=match):
                 StateTrace.from_csv(path)
+
+    @pytest.mark.parametrize("header, row, n_columns", [
+        ("t,u,v", "0.1,0.5,-0.5", 3), ("t,u,v,z,w", "0.1,0.5,-0.5,0,7.0", 5)],
+        ids=["three", "five"])
+    def test_trace_csv_with_the_wrong_number_of_columns_is_an_error(self, tmp_path, header,
+                                                                    row, n_columns):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"{header}\n{row}\n{row}\n")
+        match = re.escape(f"trace file {str(path)!r} has {n_columns} columns, expected 4")
+        with pytest.raises(ValueError, match=match):
+            StateTrace.from_csv(path)
 
     def test_trace_csv_roundtrip_one_row(self, tmp_path):
         trace = StateTrace(dt=0.1, u=np.array([0.1 + 0.2]), v=np.array([-1e-300]),
