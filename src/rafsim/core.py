@@ -501,7 +501,7 @@ def _blocked_scan(m, X, u, v):
     """
     L = BLOCK
     n_blocks = len(X) // L
-    F = X.reshape(n_blocks, 2 * L)  # a view
+    F = X.reshape(n_blocks, 2 * L)  # a view, so the scan writes into X
     mL, W = _toeplitz(m)
     k = n_blocks - 1
     S = np.zeros((1 + -(-k // L) * L, 2))  # (u, v), then the start states of blocks 1..k

@@ -577,9 +577,9 @@ class TestScanKernel:
             simulate(p, InputSignal(dense=currents), 1.0, n_steps)
 
     def test_simulate_allocates_at_most_four_arrays_of_its_length(self):
-        # the fresh buffers of a dense+events run: the scan's one buffer of
-        # (u, v) pairs, two arrays of n floats, the binned impulses, one more,
-        # and little else
+        # the fresh buffers of a dense+events run: the scan's buffer of
+        # (u, v) pairs, two arrays of n floats, the binned impulses, one
+        # more, and little else
         n = 100_000
         w = TWO_PI * 1e5
         p = RafParams(omega_u=w, omega_v=w, tau_u=2e4 / w, tau_v=2e4 / w)
