@@ -28,6 +28,7 @@ from rafsim.core import (
     _forcing,
     _loop_scan,
     _propagator,
+    _sine_drive,
     _toeplitz,
     input_vector,
     resonance_response,
@@ -45,6 +46,24 @@ SCAN_RTOL = 1e-12
 
 def a_matrix(p: RafParams) -> np.ndarray:
     return np.array([[-p.k_u, -p.omega_v], [p.omega_u, -p.k_v]])
+
+
+def doubled_series_b(p: RafParams, dt: float) -> np.ndarray:
+    """input_vector's b by its own operations, with E = exp(A*h) built even when unused."""
+    A = a_matrix(p)
+    scale = float(np.max(np.abs(A))) * dt
+    n_half = max(0, int(math.ceil(math.log2(scale / 0.5)))) if scale > 0.5 else 0
+    h = dt / (1 << n_half)
+    G = np.eye(2) * h
+    term = np.eye(2) * h
+    for k in range(1, 15):
+        term = term @ A * (h / (k + 1))
+        G = G + term
+    E = np.reshape(transition_terms(p.omega_u, p.omega_v, p.k_u, p.k_v, h), (2, 2))
+    for _ in range(n_half):
+        G = G + E @ G
+        E = E @ E
+    return G @ np.array([1.0, 0.0])
 
 
 def euler_matrix(p: RafParams, dt: float, substeps: int) -> np.ndarray:
@@ -292,6 +311,23 @@ class TestInputVector:
                 step(NeuronState(), p, 0.0, 1e-3)
             with pytest.raises(SimulationError, match=match):
                 simulate(p, InputSignal(), 1e-3, 3)
+
+    @pytest.mark.parametrize("dt, e_builds", [(1.0 / 6400, 0), (1e-2, 1)])
+    def test_builds_the_half_step_e_only_when_the_step_is_halved(self, monkeypatch, dt,
+                                                                e_builds):
+        # max|A|*dt is 0.11 at dt = 1/6400, so no doubling reads E; at dt = 0.01 it is 6.9
+        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 110, tau_u=3e-3, tau_v=0.3)
+        expected = doubled_series_b(p, dt)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return transition_terms(*args)
+
+        monkeypatch.setattr("rafsim.core.transition_terms", counted)
+        b = input_vector(p, dt)
+        assert len(calls) == e_builds
+        assert b.tobytes() == expected.tobytes()
 
     def test_scale_2_to_the_1022_still_builds(self):
         # the largest scale whose step halves to 0.5 within a float
@@ -754,6 +790,24 @@ class TestResonanceResponse:
         with pytest.raises(ValueError, match=match):
             resonance_response(p, 100.0, 1.0, duration)
         assert resonance_response(p, 100.0, 1.0, 1.5 / 6400) > 0.0  # rounds to 2 steps
+
+    @pytest.mark.parametrize("n_steps", [2, 3, 4, 15, 16, 17, 1023, 1024, 1025, 36_700])
+    @pytest.mark.parametrize("frequency, dt, amplitude", [
+        (250.0, 1.0 / (64 * 250), 1.0),
+        (37.3, 1.0 / (64 * 200), -2.5),
+        (1000.0, 1.0 / 7000, 3e5),
+        (200.0, 1e-4, 0.0),  # the bound is 0: every value is zero
+    ])
+    def test_sine_drive_is_within_its_phase_rounding(self, n_steps, frequency, dt, amplitude):
+        drive = _sine_drive(frequency, amplitude, dt, n_steps)
+        assert drive.shape == (n_steps,)
+        pi = 4 * np.arctan(np.longdouble(1))
+        phase = 2 * pi * np.longdouble(frequency) * np.longdouble(dt) * (
+            np.arange(n_steps, dtype=np.longdouble) + np.longdouble(0.5))
+        exact = np.longdouble(amplitude) * np.sin(phase)
+        w = TWO_PI * frequency * dt
+        bound = 2 * np.finfo(float).eps * (1 + w * n_steps) * abs(amplitude)
+        assert np.max(np.abs(drive - exact)) <= bound
 
     def test_accepts_a_numpy_integer_steps_per_cycle(self):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.05, tau_v=0.05)
