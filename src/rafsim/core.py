@@ -217,50 +217,37 @@ class StateTrace:
 def transition_terms(omega_u, omega_v, k_u, k_v, dt):
     """Entries (m00, m01, m10, m11) of exp(A*dt) for A = [[-k_u, -omega_v], [omega_u, -k_v]].
 
-    Closed form exp(A*dt) = env * (C*I + S*N) via A = mu*I + N with
-    N*N = -disc*I: disc > 0 gives damped rotation, disc < 0 real
-    (overdamped) modes, disc = 0 the critical limit. The envelope env is
-    applied last, so C and S stay normal numbers where the entries are
-    subnormal. The overdamped branch takes env = exp((mu + lam)*dt), whose
-    exponent is never positive, so no intermediate overflows. Works
-    elementwise on arrays.
+    Takes and returns Python floats and computes with math, that is libm,
+    so the bits do not depend on numpy's SIMD dispatch. Closed form
+    exp(A*dt) = env * (C*I + S*N) via A = mu*I + N with N*N = -disc*I:
+    disc > 0 gives damped rotation, disc < 0 real (overdamped) modes and
+    disc = 0 the critical limit; a NaN disc or an infinite rotation angle
+    gives four NaNs. The envelope env is applied last, so C and S stay
+    normal numbers where the entries are subnormal. The overdamped branch
+    takes env = exp((mu + lam)*dt); with rates >= 0 no exponent is
+    positive, so no exp overflows.
     """
-    ou, ov, ku, kv = np.broadcast_arrays(
-        np.asarray(omega_u, dtype=float), np.asarray(omega_v, dtype=float),
-        np.asarray(k_u, dtype=float), np.asarray(k_v, dtype=float))
-    shape = ou.shape
-    ou, ov, ku, kv = (np.atleast_1d(x).ravel() for x in (ou, ov, ku, kv))
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = -0.5 * (ku + kv)
-        delta = 0.5 * (ku - kv)
-        disc = ou * ov - delta * delta
+    mu = -0.5 * (k_u + k_v)
+    delta = 0.5 * (k_u - k_v)
+    disc = omega_u * omega_v - delta * delta
 
-        env = np.exp(mu * dt)
-        C = np.empty_like(mu)  # stays NaN where disc is NaN
-        C.fill(np.nan)
-        S = C.copy()
-        osc = disc > 0.0
-        if osc.any():
-            om = np.sqrt(disc[osc])
-            C[osc] = np.cos(om * dt)
-            S[osc] = np.sin(om * dt) / om
-        over = disc < 0.0
-        if over.any():
-            lam = np.sqrt(-disc[over])  # lam <= |mu|
-            em = np.expm1(-2.0 * lam * dt)
-            env[over] = np.exp((mu[over] + lam) * dt)
-            C[over] = 1.0 + 0.5 * em  # cosh(lam*dt) * exp(-lam*dt)
-            S[over] = -em / (2.0 * lam)  # sinh(lam*dt) / lam * exp(-lam*dt)
-        crit = disc == 0.0
-        if crit.any():
-            C[crit] = 1.0
-            S[crit] = dt
-
-        m00 = (env * (C - delta * S)).reshape(shape)
-        m01 = (env * (-ov * S)).reshape(shape)
-        m10 = (env * (ou * S)).reshape(shape)
-        m11 = (env * (C + delta * S)).reshape(shape)
-    return m00, m01, m10, m11
+    env = math.exp(mu * dt)
+    C = S = math.nan
+    if disc > 0.0:
+        om = math.sqrt(disc)
+        x = om * dt
+        if math.isfinite(x):  # math.cos raises on inf
+            C, S = math.cos(x), math.sin(x) / om
+    elif disc < 0.0:
+        lam = math.sqrt(-disc)  # lam <= |mu|
+        em = math.expm1(-2.0 * lam * dt)
+        env = math.exp((mu + lam) * dt)
+        C = 1.0 + 0.5 * em  # cosh(lam*dt) * exp(-lam*dt)
+        S = -em / (2.0 * lam)  # sinh(lam*dt) / lam * exp(-lam*dt)
+    elif disc == 0.0:
+        C, S = 1.0, dt
+    return (env * (C - delta * S), env * (-omega_v * S), env * (omega_u * S),
+            env * (C + delta * S))
 
 
 def transition_matrix(params: RafParams, dt: float) -> np.ndarray:
@@ -353,8 +340,7 @@ def _propagator(params: RafParams, dt: float):
     # b before M: the benchmark's tracer takes the last transition_terms span
     # of a run as M's own, directly under simulate
     b = tuple(input_vector(params, dt).tolist())
-    m = tuple(map(float, transition_terms(
-        params.omega_u, params.omega_v, params.k_u, params.k_v, dt)))
+    m = transition_terms(params.omega_u, params.omega_v, params.k_u, params.k_v, dt)
     return m, b
 
 
@@ -390,7 +376,7 @@ def _toeplitz(m):
 
 def simulate(params: RafParams, input_signal: InputSignal, dt: float,
              n_steps: int, initial_state: NeuronState | None = None) -> StateTrace:
-    """Simulate n_steps of the neuron; deterministic given its inputs.
+    """Simulate n_steps of the neuron.
 
     Propagator: two small LRU caches of 8 entries each. M = exp(A*dt) and
     the zero-order-hold vector b are built once per (params, dt)
@@ -429,6 +415,13 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     within 3e-14 of the same recurrence run in extended precision.
     A non-finite state raises SimulationError naming the step at which the
     per-step loop first leaves the finite range.
+
+    Reproducibility: M comes from libm (transition_terms), so its bits do
+    not depend on numpy's SIMD dispatch. b and the scan go through numpy
+    matmuls, whose bits follow the BLAS kernel that runs them: at a halved
+    step, b0 read 66 ulps apart under OpenBLAS's Haswell and Sandybridge
+    kernels. So a run repeats bit for bit on one libm and BLAS kernel, not
+    across them.
     """
     _check_count("n_steps", n_steps)
     state = initial_state or NeuronState()

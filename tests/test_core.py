@@ -7,7 +7,11 @@ of the input integral, and FFT/cross-correlation trace analysis.
 
 import dataclasses
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -18,6 +22,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rafsim
 from rafsim.core import (
     BLOCK,
     InputSignal,
@@ -98,7 +103,7 @@ def critical_omega(w: float) -> float:
 
 def loop_reference(p, signal, dt, n_steps, state=NeuronState()):
     """(u, v) of the per-step reference loop on simulate's own forcing."""
-    m = tuple(float(x) for x in transition_terms(p.omega_u, p.omega_v, p.k_u, p.k_v, dt))
+    m = transition_terms(p.omega_u, p.omega_v, p.k_u, p.k_v, dt)
     _, b = _propagator(p, dt)
     f = np.zeros((n_steps, 2))
     _forcing(b, dt, signal, f)
@@ -223,9 +228,47 @@ class TestTransitionMatrix:
             _propagator(p, dt)
 
     def test_rejects_non_finite_result(self):
-        p = RafParams(omega_u=1e200, omega_v=1e200)  # omega product overflows
-        with pytest.raises(SimulationError):
-            transition_matrix(p, 1.0)
+        cases = [
+            (RafParams(omega_u=1e200, omega_v=1e200), 1.0),  # omega product overflows
+            # omega_u*omega_v and delta*delta overflow, so disc = inf - inf is NaN;
+            # env = 0, so a NaN disc taken as critical would give a finite, all-zero M
+            (RafParams(omega_u=1e200, omega_v=1e200, tau_u=1e-300), 1e-3),
+            # disc = 1e300 is finite, but the rotation angle om*dt = 1e150 * 1e300 is not
+            (RafParams(omega_u=1e200, omega_v=1e100), 1e300),
+        ]
+        for p, dt in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SimulationError):
+                    transition_matrix(p, dt)
+                with pytest.raises(SimulationError):
+                    step(NeuronState(), p, 0.0, dt)
+                with pytest.raises(SimulationError):
+                    simulate(p, InputSignal(), dt, 3)
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="NPY_DISABLE_CPU_FEATURES=X86_V4 names an x86-64 feature group")
+    def test_bits_do_not_follow_numpys_simd_dispatch(self):
+        # keys whose entries numpy's AVX-512 and baseline exp/expm1 kernels
+        # round differently
+        w1, w2, w3 = TWO_PI * 101, TWO_PI * 102, TWO_PI * 119
+        keys = [(w1, w1, 1 / 0.02, 1 / 0.05, 1 / (64 * 101)),  # damped
+                (w2, w2, 1 / 1e-4, 1.0, 1 / (64 * 102)),  # overdamped
+                (w3, w3, 2.0 * w3, 0.0, 1 / 6400)]  # critical: disc = w3*w3 - w3*w3
+        entries = [transition_terms(*k) for k in keys]
+        assert all(type(x) is float for m in entries for x in m)
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4",
+                   PYTHONPATH=os.pathsep.join(filter(None, (
+                       os.path.dirname(os.path.dirname(rafsim.__file__)),
+                       os.environ.get("PYTHONPATH")))))
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import ast, sys; from rafsim.core import transition_terms\n"
+             "for k in ast.literal_eval(sys.argv[1]):\n"
+             "    print(*(x.hex() for x in transition_terms(*k)))",
+             repr(keys)],
+            env=env, capture_output=True, text=True, check=True, timeout=120)
+        assert child.stdout.splitlines() == [" ".join(x.hex() for x in m) for m in entries]
 
 
 class TestInputVector:
@@ -696,8 +739,7 @@ class TestPropagator:
     def test_carry_is_m_multiplied_out_block_times(self):
         p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
         dt = 1.0 / (64 * 250)
-        m00, m01, m10, m11 = (float(x) for x in transition_terms(
-            p.omega_u, p.omega_v, p.k_u, p.k_v, dt))
+        m00, m01, m10, m11 = transition_terms(p.omega_u, p.omega_v, p.k_u, p.k_v, dt)
         a, b, c, d = 1.0, 0.0, 0.0, 1.0
         for _ in range(BLOCK):  # M @ (M^k), in the loop's order of operations
             a, b, c, d = (m00 * a + m01 * c, m00 * b + m01 * d,
@@ -714,7 +756,7 @@ class TestPropagator:
         else:
             p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
             dt = 1.0 / (64 * 250)
-        m = tuple(float(x) for x in transition_terms(p.omega_u, p.omega_v, p.k_u, p.k_v, dt))
+        m = transition_terms(p.omega_u, p.omega_v, p.k_u, p.k_v, dt)
         _, W = _toeplitz(m)
         for j in range(BLOCK):
             for c in range(2):
