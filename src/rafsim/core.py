@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "RafParams",
@@ -60,7 +59,8 @@ class RafParams:
     """Mathematical neuron parameters.
 
     omega_u, omega_v: cross-coupling rates (rad/s), >= 0.
-    tau_u, tau_v: decay time constants (s), > 0; math.inf means no decay.
+    tau_u, tau_v: decay time constants (s), > 0 with a finite reciprocal;
+        math.inf means no decay.
     theta: spike threshold on the v state (state units), finite.
     """
 
@@ -79,6 +79,8 @@ class RafParams:
             tau = getattr(self, name)
             if not tau > 0.0:  # inf allowed
                 raise ValueError(f"{name} must be > 0 (inf = no decay), got {tau!r}")
+            if math.isinf(1.0 / tau):
+                raise ValueError(f"{name} must have a finite reciprocal, got {tau!r}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
 
@@ -344,6 +346,19 @@ def _propagator(params: RafParams, dt: float):
     return m, b
 
 
+def _w_index(L):
+    """The (2*L, 2*L) gather that builds W from [0, 0, 0, 0] + the entries of M^0..M^(L-1).
+
+    Entry [2*j + c, 2*i + r] is 4 + 4*(i - j) + 2*r + c, the place of
+    M^(i-j)[r, c], where i >= j, and 0, which reads a zero, where i < j.
+    """
+    j, c, i, r = np.ogrid[:L, :2, :L, :2]
+    return np.where(i >= j, 4 + 4 * (i - j) + 2 * r + c, 0).reshape(2 * L, 2 * L)
+
+
+_W_INDEX = _w_index(BLOCK)
+
+
 @functools.lru_cache(maxsize=8)  # 8 W matrices of 32 KiB: 256 KiB in all
 def _toeplitz(m):
     """(mL, W) of the scan for the M with entries m, memoised.
@@ -355,7 +370,8 @@ def _toeplitz(m):
         step-major order: W[2*j + c, 2*i + r] = M^(i-j)[r, c] carries input
         c at step j of a block to state r at step i. Its diagonal is exactly
         1 and everything below it is 0, and its last two columns give a
-        block's end state.
+        block's end state. It is one gather (``_W_INDEX``) from the powers'
+        entries behind four zeros.
     """
     L = BLOCK
     m00, m01, m10, m11 = m
@@ -366,10 +382,7 @@ def _toeplitz(m):
         p00, p01, p10, p11 = mk
         mk = (m00 * p00 + m01 * p10, m00 * p01 + m01 * p11,
               m10 * p00 + m11 * p10, m10 * p01 + m11 * p11)
-    P = np.zeros((2, 2, 2 * L - 1))  # P[r, c, L-1 + k] = M^k[r, c], zero for k < 0
-    P[:, :, L - 1:] = np.reshape(powers, (L, 2, 2)).transpose(1, 2, 0)
-    # window s of P[r, c] starts at lag s - (L-1), so row j of W reads window L-1-j
-    W = sliding_window_view(P, L, axis=2)[:, :, ::-1].transpose(2, 1, 3, 0).reshape(2 * L, 2 * L)
+    W = np.array([0.0] * 4 + powers)[_W_INDEX]
     W.flags.writeable = False  # shared by every hit
     return mk, W
 
@@ -382,10 +395,11 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     the zero-order-hold vector b are built once per (params, dt)
     (``_propagator``, which step reads too). The kernel's M^BLOCK and block
     matrix W depend on M alone and are built once per M
-    (``_toeplitz``, 256 KiB in all); the scan's upper levels take theirs
-    from the same cache. A repeated dt, such as the points of a resonance
-    sweep below resonance, reuses both. Results are the same bit for bit
-    whether the caches are warm or cold.
+    (``_toeplitz``, 256 KiB in all): M's powers multiplied out in a Python
+    loop, then W in one gather from them through a constant index array.
+    The scan's upper levels take theirs from the same cache. A repeated dt,
+    such as the points of a resonance sweep below resonance, reuses both.
+    Results are the same bit for bit whether the caches are warm or cold.
 
     Kernel: an exact multi-level blocked scan over the real 2x2 propagator
     M (``_blocked_scan``), the chunked scan of a linear state-space recurrence,
@@ -471,7 +485,7 @@ def _forcing(b, dt, input_signal, out):
         out[:, 0] += input_signal.impulse_increments(dt, n_steps)
 
 
-def _blocked_scan(m, X, u, v):
+def _blocked_scan(m, X, u, v, first=0):
     """Turn X into the states of x[i] = M x[i-1] + X[i] from x[-1] = (u, v), in place.
 
     X is a C-ordered (n_blocks * L, 2) array of per-step (u, v) inputs, zero
@@ -487,6 +501,12 @@ def _blocked_scan(m, X, u, v):
     of M. At most BLOCK + 1 blocks are carried by ``_loop_scan`` instead.
     Every row of the product depends on that row alone, so the rows are
     multiplied a chunk at a time through one small buffer and written back.
+
+    Only the blocks from first // CHUNK * CHUNK on become states; the rows
+    before them keep their inputs. Every block's end state is still
+    computed, so the start states, and the states written, are those of a
+    scan from block 0 bit for bit. The start is a whole chunk because
+    OpenBLAS can give a row other bits at another place in a matmul.
     """
     L = BLOCK
     n_blocks = len(X) // L
@@ -501,13 +521,14 @@ def _blocked_scan(m, X, u, v):
         ends[:, 0], ends[:, 1] = _loop_scan(mL, ends[:, 0], ends[:, 1], u, v)
     else:
         _blocked_scan(mL, S[1:], u, v)
-    su, sv = S[:n_blocks, 0], S[:n_blocks, 1]
+    start = first // CHUNK * CHUNK
+    su, sv = S[start:n_blocks, 0], S[start:n_blocks, 1]
     m00, m01, m10, m11 = m
     # f + (M s): the loop's own operations, so step 0 equals step() bit for bit
-    F[:, 0] += m00 * su + m01 * sv
-    F[:, 1] += m10 * su + m11 * sv
-    rows = np.empty((min(CHUNK, n_blocks), 2 * L))
-    for i in range(0, n_blocks, CHUNK):
+    F[start:, 0] += m00 * su + m01 * sv
+    F[start:, 1] += m10 * su + m11 * sv
+    rows = np.empty((min(CHUNK, n_blocks - start), 2 * L))
+    for i in range(start, n_blocks, CHUNK):
         chunk = F[i:i + CHUNK]
         np.matmul(chunk, W, out=rows[:len(chunk)])
         chunk[...] = rows[:len(chunk)]
@@ -554,6 +575,14 @@ def resonance_response(params: RafParams, drive_frequency: float,
     every drive frequency below resonance runs at one dt. The points of a
     sweep there share one cached (M, b) and one cached W (see simulate);
     each point above resonance has its own dt, and so its own M and W.
+
+    The result is max|v| over simulate's trace from step int(0.6*n_steps)
+    on, bit for bit, but the run makes no InputSignal or StateTrace: the
+    drive times b goes straight into the scan's buffer, and the scan
+    (``_blocked_scan``) computes the states of the blocks it reads, from
+    the chunk holding the window's first step. If a state of the window is
+    not finite, the point is run again through simulate, which repairs a
+    kernel overflow with the per-step loop or raises SimulationError.
     """
     if not (drive_frequency > 0 and math.isfinite(drive_frequency)):
         raise ValueError(f"drive_frequency must be finite and > 0, got {drive_frequency!r}")
@@ -573,8 +602,16 @@ def resonance_response(params: RafParams, drive_frequency: float,
         raise ValueError(f"duration must cover at least 2 steps, got {duration!r}: "
                          f"{n_steps} steps of dt = {dt!r}")
     drive = _sine_drive(drive_frequency, drive_amplitude, dt, n_steps)
-    trace = simulate(params, InputSignal(dense=drive), dt, n_steps)
-    steady = trace.v[int(0.6 * n_steps):]
+    first = int(0.6 * n_steps)  # the steady window's first step
+    m, (b0, b1) = _propagator(params, dt)
+    X = np.zeros((-(-n_steps // BLOCK) * BLOCK, 2))  # simulate's buffer, filled as _forcing does
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(drive, b0, out=X[:n_steps, 0])
+        np.multiply(drive, b1, out=X[:n_steps, 1])
+        _blocked_scan(m, X, 0.0, 0.0, first // BLOCK)
+    steady = X[first:n_steps, 1]
+    if not np.isfinite(X[first:n_steps]).all():
+        steady = simulate(params, InputSignal(dense=drive), dt, n_steps).v[first:]
     return float(np.max(np.abs(steady)))
 
 

@@ -25,11 +25,13 @@ from hypothesis import strategies as st
 import rafsim
 from rafsim.core import (
     BLOCK,
+    CHUNK,
     InputSignal,
     NeuronState,
     RafParams,
     SimulationError,
     StateTrace,
+    _blocked_scan,
     _forcing,
     _loop_scan,
     _propagator,
@@ -773,6 +775,15 @@ class TestPropagator:
             W[0, 0] = 1.0
 
 
+def simulated_response(p, frequency, amplitude, duration, steps_per_cycle=64):
+    """resonance_response by its definition: max|v| over simulate's steady window."""
+    dt = 1.0 / (steps_per_cycle * max(frequency, p.resonance_frequency))
+    n_steps = int(round(duration / dt))
+    drive = _sine_drive(frequency, amplitude, dt, n_steps)
+    trace = simulate(p, InputSignal(dense=drive), dt, n_steps)
+    return float(np.max(np.abs(trace.v[int(0.6 * n_steps):])))
+
+
 class TestResonanceResponse:
     def test_sweep_peaks_near_resonance(self):
         f0 = 200.0
@@ -783,6 +794,58 @@ class TestResonanceResponse:
         responses = [resonance_response(p, f, 1.0, 12 * tau) for f in freqs]
         f_best = freqs[int(np.argmax(responses))]
         assert f_best == pytest.approx(f0, rel=0.05)
+        # Oracle: the gain |H| = |e2^T (z I - M)^-1 b| at z = exp(j*w*dt) of
+        # the discretised x' = M x + b I. The sampled peak misses the
+        # steady-state amplitude by at most half a step of phase, w*dt/2 <=
+        # pi/64, and the transient left after 60% of 12 decay times adds little.
+        for f, response in zip(freqs, responses):
+            dt = 1.0 / (64 * max(f, p.resonance_frequency))
+            z = np.exp(1j * TWO_PI * f * dt)
+            gain = abs(np.linalg.solve(z * np.eye(2) - transition_matrix(p, dt),
+                                       input_vector(p, dt))[1])
+            assert math.cos(math.pi / 64) <= response / gain <= 1.005, f
+
+    @settings(max_examples=60, deadline=None)
+    @given(raf_params(), st.floats(0.2, 5.0), st.integers(2, 40_000),
+           st.integers(1, 128), st.floats(-3.0, 3.0))
+    def test_equals_the_peak_of_simulates_window_bit_for_bit(self, p, ratio, n_steps,
+                                                               steps_per_cycle, amplitude):
+        # the scan of the window's chunks alone gives simulate's states there
+        f_ref = p.resonance_frequency or math.sqrt(p.omega_u * p.omega_v) / TWO_PI
+        frequency = ratio * f_ref
+        duration = n_steps / (steps_per_cycle * max(frequency, p.resonance_frequency))
+        assert (resonance_response(p, frequency, amplitude, duration, steps_per_cycle)
+                == simulated_response(p, frequency, amplitude, duration, steps_per_cycle))
+
+    def test_a_scan_from_a_later_block_writes_the_whole_scans_bits(self):
+        # the scan starts at the chunk holding block first, so each row it
+        # writes has the place it has in a whole scan's matmuls; OpenBLAS's
+        # Haswell kernel gives a row other bits at another place
+        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.08, tau_v=0.08)
+        m, _ = _propagator(p, 1.0 / 6400)
+        rng = np.random.default_rng(12)
+        n_blocks = 3 * CHUNK + 5
+        inputs = rng.normal(size=(n_blocks * BLOCK, 2))
+        whole = inputs.copy()
+        _blocked_scan(m, whole, 0.1, -0.2)
+        for first in range(0, n_blocks, 3):
+            X = inputs.copy()
+            _blocked_scan(m, X, 0.1, -0.2, first)
+            start = first // CHUNK * CHUNK * BLOCK
+            assert X[start:].tobytes() == whole[start:].tobytes(), first
+            assert X[:start].tobytes() == inputs[:start].tobytes(), first
+
+    @pytest.mark.parametrize("amplitude, duration", [
+        (1e308, 10.0),  # first non-finite at step 237, before the window at 384
+        (2.5e307, 20.0),  # at step 926, inside the window from 768
+    ])
+    def test_an_overflowing_drive_raises_simulates_error(self, amplitude, duration):
+        p = RafParams(omega_u=TWO_PI, omega_v=TWO_PI)  # undamped at 1 Hz: dt = 1/64 s
+        with pytest.raises(SimulationError) as direct:
+            simulated_response(p, 1.0, amplitude, duration)
+        with pytest.raises(SimulationError) as raised:
+            resonance_response(p, 1.0, amplitude, duration)
+        assert str(raised.value) == str(direct.value)
 
     def test_zero_amplitude_gives_zero_response(self):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100,
@@ -869,6 +932,15 @@ class TestTypesAndValidation:
             RafParams(omega_u=1.0, omega_v=1.0, theta=math.inf)
         p = RafParams(omega_u=1.0, omega_v=1.0, tau_u=math.inf)
         assert p.k_u == 0.0
+
+    @pytest.mark.parametrize("name, tau", [("tau_u", 5e-324), ("tau_v", 5e-324),
+                                           ("tau_u", 5.56e-309)])
+    def test_params_reject_a_tau_whose_reciprocal_overflows(self, name, tau):
+        with pytest.raises(ValueError, match=f"^{name} must have a finite reciprocal, "
+                                             f"got {tau!r}$"):
+            RafParams(omega_u=1.0, omega_v=1.0, **{name: tau})
+        p = RafParams(omega_u=1.0, omega_v=1.0, **{name: 5.57e-309})  # 1/tau is finite
+        assert math.isfinite(p.k_u) and math.isfinite(p.k_v)
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
