@@ -147,20 +147,53 @@ class InputSignal:
         return cls(events=[(time, amplitude)])
 
     def impulse_increments(self, dt: float, n_steps: int) -> np.ndarray:
-        """Per-step impulse amounts; an event at t lands in step floor(t/dt).
+        """Per-step impulse amounts; an event at t lands in step floor(t/dt), exactly.
 
-        Amplitudes landing in one step are added in time order, ties in the
-        order given. An event at or past the horizon n_steps*dt is an error.
+        The floor is that of the exact quotient of the floats t and dt
+        (``_floor_quotient``), so an event at a step boundary k*dt, as the
+        float k*dt rounds it, lands in step k if k*dt <= t and in step k-1
+        otherwise. Amplitudes landing in one step are added in time order,
+        ties in the order given. An event whose step is n_steps or later, at
+        or past the horizon n_steps*dt, is an error.
         """
         if not len(self.events):
             return np.zeros(n_steps)
-        steps = self.events[:, 0] / dt
+        steps = _floor_quotient(self.events[:, 0], dt)
         if steps[-1] >= n_steps:
             t = float(self.events[-1, 0])
             raise ValueError(f"event at time {t!r} is at or past the horizon "
                              f"{n_steps} * {dt!r} = {n_steps * dt!r}")
         return np.bincount(steps.astype(np.int64), weights=self.events[:, 1],
                            minlength=n_steps)
+
+
+def _floor_quotient(t, dt):
+    """floor(t/dt) of the exact quotient, as floats, for an array t >= 0 and a float dt > 0.
+
+    Rounding can carry the float quotient up onto the next integer, never
+    past it and never down across one, so the floor k of the float quotient
+    is the exact floor or one more. It is one more exactly where k*dt > t,
+    which Dekker's two-product decides: k*dt = p + err exactly, for p the
+    float product and err its rounding error, summed from halves of k and dt
+    whose products are exact. t and dt are first scaled by one power of two,
+    which leaves the quotient as it is and puts dt in [0.5, 1), so that no
+    half overflows and err does not underflow where k >= 1. A quotient too
+    large for a step gives a value at or past any horizon.
+    """
+    e = -math.frexp(dt)[1]
+    dt = math.ldexp(dt, e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.ldexp(t, e)
+        k = np.floor(t / dt)
+        p = k * dt
+        d = 134217729.0 * dt  # Veltkamp's split at 2**27 + 1
+        dh = d - (d - dt)
+        dl = dt - dh
+        c = 134217729.0 * k
+        kh = c - (c - k)
+        kl = k - kh
+        err = ((kh * dh - p) + kh * dl + kl * dh) + kl * dl
+        return k - ((p > t) | ((p == t) & (err > 0.0)))
 
 
 @dataclass
@@ -427,8 +460,15 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     undamped neuron at 16 steps per cycle drifts by about 8e-18 of scale per
     step, 8e-13 at 100k steps and 2.4e-12 at 300k, where the loop stays
     within 3e-14 of the same recurrence run in extended precision.
-    A non-finite state raises SimulationError naming the step at which the
-    per-step loop first leaves the finite range.
+
+    Run path: simulate bins the events and hands the currents and the
+    binned impulses to ``_run``, the one run path it shares with
+    resonance_response. If the scan leaves a state that is not finite, the
+    per-step loop reruns the whole run from step 0: a kernel overflow that
+    the loop avoids gives the loop's trace, and a state that truly leaves
+    the finite range raises SimulationError naming the first step at which
+    the loop leaves it. Input errors (a dense input of another length, an
+    event past the horizon) are raised before the propagator is built.
 
     Reproducibility: M comes from libm (transition_terms), so its bits do
     not depend on numpy's SIMD dispatch. b and the scan go through numpy
@@ -438,51 +478,67 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     across them.
     """
     _check_count("n_steps", n_steps)
-    state = initial_state or NeuronState()
-    m, b = _propagator(params, dt)  # checks dt
-    X = np.zeros((-(-n_steps // BLOCK) * BLOCK, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        _forcing(b, dt, input_signal, X[:n_steps])
-        _blocked_scan(m, X, state.u, state.v)
-    us, vs = X[:n_steps, 0], X[:n_steps, 1]
-    if not np.isfinite(X[:n_steps]).all():
-        # A non-finite value spreads over its whole block at every level of
-        # the kernel, earlier steps included, and the kernel can overflow
-        # where the loop would not; the per-step loop, restarted at the first
-        # block it reaches, finds the step or finishes the run. The scan has
-        # overwritten the inputs, so the loop gets them anew.
-        finite = np.isfinite(X[:n_steps]).all(axis=1)
-        start = int(np.argmin(finite)) // BLOCK * BLOCK
-        u0, v0 = (float(us[start - 1]), float(vs[start - 1])) if start else (state.u, state.v)
-        f = np.zeros((n_steps, 2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            _forcing(b, dt, input_signal, f)
-        us[start:], vs[start:] = _loop_scan(m, f[start:, 0], f[start:, 1], u0, v0)
-        finite = np.isfinite(X[:n_steps]).all(axis=1)
-        if not finite.all():
-            raise SimulationError(f"non-finite state at step {int(np.argmin(finite))} "
-                                  f"with {params!r}, dt={dt!r}")
+    _check_dt(dt)  # before the events are binned by it
+    currents = input_signal.dense
+    if currents is not None and len(currents) != n_steps:
+        raise ValueError(f"dense input has {len(currents)} samples, expected {n_steps}")
+    increments = input_signal.impulse_increments(dt, n_steps) if len(input_signal.events) else None
+    X = _run(params, dt, n_steps, currents, increments, initial_state or NeuronState())
+    us, vs = X[:, 0], X[:, 1]
     zs = (vs >= params.theta).astype(np.int8)
     return StateTrace(dt=dt, u=us, v=vs, z=zs,
                       metadata={"params": params, "n_steps": n_steps})
 
 
-def _forcing(b, dt, input_signal, out):
+def _run(params, dt, n_steps, currents, increments, state=NeuronState(), first=0):
+    """The (n_steps, 2) states (u, v) of a run from state: simulate's and resonance_response's.
+
+    currents (state units / s, held over each step) and increments (impulses
+    added to u) are per-step arrays of n_steps values, or None for none.
+    M and b come from ``_propagator``, which checks dt. The inputs go into
+    one padded buffer (``_forcing``), and the scan (``_blocked_scan``) turns
+    them into states in place from the chunk holding step first on; rows
+    before that chunk keep their inputs, and only the states from step
+    first on are meant to be read.
+
+    Those states are checked once. If one is not finite, the per-step loop
+    (``_loop_scan``) reruns the whole run from step 0 on inputs written anew.
+    A non-finite value spreads over its whole block at every level of the
+    kernel, earlier steps included, and the kernel can overflow where the
+    loop would not: the loop either finishes the run, and its states replace
+    the kernel's, or raises SimulationError naming the first step at which
+    the state leaves the finite range.
+    """
+    m, b = _propagator(params, dt)
+    X = np.zeros((-(-n_steps // BLOCK) * BLOCK, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _forcing(b, currents, increments, X[:n_steps])
+        _blocked_scan(m, X, state.u, state.v, first // BLOCK)
+        if not np.isfinite(X[first:n_steps]).all():
+            X[:n_steps] = 0.0  # the scan has overwritten the inputs
+            _forcing(b, currents, increments, X[:n_steps])
+            X[:n_steps, 0], X[:n_steps, 1] = _loop_scan(m, X[:n_steps, 0], X[:n_steps, 1],
+                                                        state.u, state.v)
+            finite = np.isfinite(X[:n_steps]).all(axis=1)
+            if not finite.all():
+                raise SimulationError(f"non-finite state at step {int(np.argmin(finite))} "
+                                      f"with {params!r}, dt={dt!r}")
+    return X[:n_steps]
+
+
+def _forcing(b, currents, increments, out):
     """Write the per-step inputs into out, an (n_steps, 2) array of zeros.
 
-    Column 0 gets the u input, impulses plus b0*I, and column 1 the v
-    input b1*I, where I is the dense current held over each step (ZOH).
+    Column 0 gets the u input, b0*I plus the impulse increments, and column
+    1 the v input b1*I, where I is the current held over each step (ZOH).
+    currents and increments hold n_steps values each, or are None.
     """
-    n_steps = len(out)
-    currents = input_signal.dense
     if currents is not None:
-        if len(currents) != n_steps:
-            raise ValueError(f"dense input has {len(currents)} samples, expected {n_steps}")
         b0, b1 = b
         np.multiply(currents, b0, out=out[:, 0])
         np.multiply(currents, b1, out=out[:, 1])
-    if len(input_signal.events):
-        out[:, 0] += input_signal.impulse_increments(dt, n_steps)
+    if increments is not None:
+        out[:, 0] += increments
 
 
 def _blocked_scan(m, X, u, v, first=0):
@@ -577,12 +633,12 @@ def resonance_response(params: RafParams, drive_frequency: float,
     each point above resonance has its own dt, and so its own M and W.
 
     The result is max|v| over simulate's trace from step int(0.6*n_steps)
-    on, bit for bit, but the run makes no InputSignal or StateTrace: the
-    drive times b goes straight into the scan's buffer, and the scan
-    (``_blocked_scan``) computes the states of the blocks it reads, from
-    the chunk holding the window's first step. If a state of the window is
-    not finite, the point is run again through simulate, which repairs a
-    kernel overflow with the per-step loop or raises SimulationError.
+    on, bit for bit. The run takes simulate's own path (``_run``) with the
+    drive as its currents, but makes no InputSignal or StateTrace, and the
+    scan computes only the states of the chunks that hold the window. If a
+    state of the window is not finite, the per-step loop reruns the point
+    from step 0, as in simulate: it repairs a kernel overflow or raises
+    simulate's SimulationError.
     """
     if not (drive_frequency > 0 and math.isfinite(drive_frequency)):
         raise ValueError(f"drive_frequency must be finite and > 0, got {drive_frequency!r}")
@@ -603,15 +659,7 @@ def resonance_response(params: RafParams, drive_frequency: float,
                          f"{n_steps} steps of dt = {dt!r}")
     drive = _sine_drive(drive_frequency, drive_amplitude, dt, n_steps)
     first = int(0.6 * n_steps)  # the steady window's first step
-    m, (b0, b1) = _propagator(params, dt)
-    X = np.zeros((-(-n_steps // BLOCK) * BLOCK, 2))  # simulate's buffer, filled as _forcing does
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(drive, b0, out=X[:n_steps, 0])
-        np.multiply(drive, b1, out=X[:n_steps, 1])
-        _blocked_scan(m, X, 0.0, 0.0, first // BLOCK)
-    steady = X[first:n_steps, 1]
-    if not np.isfinite(X[first:n_steps]).all():
-        steady = simulate(params, InputSignal(dense=drive), dt, n_steps).v[first:]
+    steady = _run(params, dt, n_steps, drive, None, first=first)[first:, 1]
     return float(np.max(np.abs(steady)))
 
 

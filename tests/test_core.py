@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ def loop_reference(p, signal, dt, n_steps, state=NeuronState()):
     m = transition_terms(p.omega_u, p.omega_v, p.k_u, p.k_v, dt)
     _, b = _propagator(p, dt)
     f = np.zeros((n_steps, 2))
-    _forcing(b, dt, signal, f)
+    _forcing(b, signal.dense, signal.impulse_increments(dt, n_steps), f)
     return _loop_scan(m, f[:, 0], f[:, 1], state.u, state.v)
 
 
@@ -631,6 +632,29 @@ class TestScanKernel:
         np.testing.assert_array_equal(trace.u, ref_u)
         np.testing.assert_array_equal(trace.v, ref_v)
 
+    def test_repair_past_the_first_upper_block_is_the_loop_from_step_0(self):
+        # The two 1e308 impulses overflow the kernel in the second block of
+        # the upper level (steps 1024-2047), but not the loop, which adds them
+        # to a state of -1e308 one at a time. The repair reruns the loop from
+        # step 0, so the steps before that block are the loop's bits too, not
+        # the kernel's sums of the random drive.
+        p = RafParams(omega_u=0.0, omega_v=0.0)  # M = I
+        n_steps = 3 * BLOCK**2
+        currents = np.random.default_rng(13).normal(size=n_steps)
+        signal = InputSignal(dense=currents,
+                             events=[(1100.0, -1e308), (2000.0, 1e308), (2001.0, 1e308)])
+        m, b = _propagator(p, 1.0)
+        X = np.zeros((n_steps, 2))
+        _forcing(b, currents, signal.impulse_increments(1.0, n_steps), X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _blocked_scan(m, X, 0.0, 0.0)
+        assert not np.isfinite(X[2 * BLOCK**2 - 1]).all()  # the kernel overflows
+        ref_u, ref_v = loop_reference(p, signal, 1.0, n_steps)
+        assert np.isfinite(ref_u).all() and np.isfinite(ref_v).all()
+        trace = simulate(p, signal, 1.0, n_steps)
+        np.testing.assert_array_equal(trace.u, ref_u)
+        np.testing.assert_array_equal(trace.v, ref_v)
+
     @pytest.mark.parametrize("p, dt, current, failing_step", [
         (RafParams(omega_u=0.0, omega_v=0.0), 1.0, 0.6e308, 102),  # M = I
         (RafParams(omega_u=0.3, omega_v=0.3, tau_u=50.0), 1.0, 1e308, 101),
@@ -964,6 +988,29 @@ class TestTypesAndValidation:
             with pytest.raises(ValueError, match="horizon"):
                 simulate(RafParams(omega_u=1.0, omega_v=1.0), sig, dt, n_steps)
 
+    def test_an_event_just_below_the_horizon_is_inside(self):
+        # the float 5 * 1e-4 lies below the exact product, so t/dt rounds up
+        # to 5 while the exact floor is 4, the last step
+        dt, n_steps = 1e-4, 5
+        t = n_steps * dt
+        assert Fraction(t) < n_steps * Fraction(dt) and t / dt == n_steps
+        assert InputSignal(events=[(t, 1.0)]).impulse_increments(dt, n_steps)[-1] == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(5e-324, 1e303), st.lists(st.integers(0, 10**5), min_size=1, max_size=20))
+    def test_events_near_step_boundaries_bin_by_the_exact_floor(self, dt, ks):
+        # k*dt as the float product rounds it, and one ulp to either side:
+        # where the float quotient t/dt rounds onto an integer
+        times = [t for k in ks for t in (math.nextafter(k * dt, 0.0), k * dt,
+                                         math.nextafter(k * dt, math.inf))]
+        exact = [math.floor(Fraction(t) / Fraction(dt)) for t in times]
+        n_steps = max(exact) + 1
+        signal = InputSignal(events=[(t, 1.0) for t in times])
+        np.testing.assert_array_equal(signal.impulse_increments(dt, n_steps),
+                                      np.bincount(exact, minlength=n_steps))
+        with pytest.raises(ValueError, match="horizon"):  # the last step is the horizon's
+            signal.impulse_increments(dt, n_steps - 1)
+
     def test_coincident_events_out_of_order_match_in_order_loop(self):
         rng = np.random.default_rng(11)
         dt, n_steps = 1e-4, 50
@@ -975,7 +1022,7 @@ class TestTypesAndValidation:
         events = list(zip(times.tolist(), amps.tolist()))
         ref = np.zeros(n_steps)
         for t, a in sorted(events, key=lambda e: e[0]):
-            ref[int(t / dt)] += a
+            ref[math.floor(Fraction(t) / Fraction(dt))] += a  # the exact floor
         inc = InputSignal(events=events).impulse_increments(dt, n_steps)
         np.testing.assert_array_equal(inc, ref)
 
