@@ -1008,7 +1008,7 @@ class TestTypesAndValidation:
         signal = InputSignal(events=[(t, 1.0) for t in times])
         np.testing.assert_array_equal(signal.impulse_increments(dt, n_steps),
                                       np.bincount(exact, minlength=n_steps))
-        with pytest.raises(ValueError, match="horizon"):  # the last step is the horizon's
+        with pytest.raises(ValueError, match="horizon"):  # one step fewer: the last event is past it
             signal.impulse_increments(dt, n_steps - 1)
 
     def test_coincident_events_out_of_order_match_in_order_loop(self):
