@@ -43,9 +43,14 @@ class SimulationError(RuntimeError):
     """Numerical failure during simulation (non-finite state, divergence)."""
 
 
-def _check_dt(dt):
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+def _check_finite(name, value):
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_positive(name, value):
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def _check_count(name, value):
@@ -81,8 +86,7 @@ class RafParams:
                 raise ValueError(f"{name} must be > 0 (inf = no decay), got {tau!r}")
             if math.isinf(1.0 / tau):
                 raise ValueError(f"{name} must have a finite reciprocal, got {tau!r}")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta!r}")
+        _check_finite("theta", self.theta)
 
     @property
     def k_u(self) -> float:
@@ -149,51 +153,28 @@ class InputSignal:
     def impulse_increments(self, dt: float, n_steps: int) -> np.ndarray:
         """Per-step impulse amounts; an event at t lands in step floor(t/dt), exactly.
 
-        The floor is that of the exact quotient of the floats t and dt
-        (``_floor_quotient``), so an event at a step boundary k*dt, as the
-        float k*dt rounds it, lands in step k if k*dt <= t and in step k-1
-        otherwise. Amplitudes landing in one step are added in time order,
-        ties in the order given. An event whose step is n_steps or later, at
-        or past the horizon n_steps*dt, is an error.
+        The step is numpy's floor division of the floats t and dt, which
+        takes the exact remainder and so gives the floor of the exact
+        quotient wherever that is below 2**51: an event at a step boundary
+        k*dt, as the float k*dt rounds it, lands in step k if k*dt <= t and
+        in step k-1 otherwise. A quotient of 2**51 or more gives a step of at
+        least 2**51 - 1, and one that overflows gives inf. The bincount below
+        takes 8 bytes per step, 16 PiB at 2**51 steps, so every horizon it
+        can hold is below 2**51 - 1 and such an event is past it. Amplitudes
+        landing in one step are added in time order, ties in the order
+        given. An event whose step is n_steps or later, at or past the
+        horizon n_steps*dt, is an error.
         """
         if not len(self.events):
             return np.zeros(n_steps)
-        steps = _floor_quotient(self.events[:, 0], dt)
+        # a quotient that overflows gives inf, and numpy flags it as over and invalid
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = np.floor_divide(self.events[:, 0], dt)
         if steps[-1] >= n_steps:
-            t = float(self.events[-1, 0])
-            raise ValueError(f"event at time {t!r} is at or past the horizon "
-                             f"{n_steps} * {dt!r} = {n_steps * dt!r}")
+            raise ValueError(f"event at time {float(self.events[-1, 0])!r} is at or past the "
+                             f"horizon {n_steps} * {dt!r} = {n_steps * dt!r}")
         return np.bincount(steps.astype(np.int64), weights=self.events[:, 1],
                            minlength=n_steps)
-
-
-def _floor_quotient(t, dt):
-    """floor(t/dt) of the exact quotient, as floats, for an array t >= 0 and a float dt > 0.
-
-    Rounding can carry the float quotient up onto the next integer, never
-    past it and never down across one, so the floor k of the float quotient
-    is the exact floor or one more. It is one more exactly where k*dt > t,
-    which Dekker's two-product decides: k*dt = p + err exactly, for p the
-    float product and err its rounding error, summed from halves of k and dt
-    whose products are exact. t and dt are first scaled by one power of two,
-    which leaves the quotient as it is and puts dt in [0.5, 1), so that no
-    half overflows and err does not underflow where k >= 1. A quotient too
-    large for a step gives a value at or past any horizon.
-    """
-    e = -math.frexp(dt)[1]
-    dt = math.ldexp(dt, e)
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = np.ldexp(t, e)
-        k = np.floor(t / dt)
-        p = k * dt
-        d = 134217729.0 * dt  # Veltkamp's split at 2**27 + 1
-        dh = d - (d - dt)
-        dl = dt - dh
-        c = 134217729.0 * k
-        kh = c - (c - k)
-        kl = k - kh
-        err = ((kh * dh - p) + kh * dl + kl * dh) + kl * dl
-        return k - ((p > t) | ((p == t) & (err > 0.0)))
 
 
 @dataclass
@@ -210,7 +191,7 @@ class StateTrace:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_dt(self.dt)
+        _check_positive("dt", self.dt)
         if len(self.u) == 0:
             raise ValueError("trace must be nonempty")
         if not len(self.u) == len(self.v) == len(self.z):
@@ -234,7 +215,7 @@ class StateTrace:
             fh.writelines(f"{t!r},{u!r},{v!r},{z}\n" for t, u, v, z in zip(*columns))
 
     @classmethod
-    def from_csv(cls, path, metadata=None) -> "StateTrace":
+    def from_csv(cls, path) -> "StateTrace":
         with warnings.catch_warnings():  # a file without rows raises below instead
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -246,7 +227,7 @@ class StateTrace:
         # t = (i+1)*dt, so t[1] - t[0] = 2*dt - dt is exact (Sterbenz)
         dt = rows[0, 0] if len(rows) == 1 else rows[1, 0] - rows[0, 0]
         return cls(dt=float(dt), u=rows[:, 1], v=rows[:, 2],
-                   z=rows[:, 3].astype(np.int8), metadata=metadata or {})
+                   z=rows[:, 3].astype(np.int8))
 
 
 def transition_terms(omega_u, omega_v, k_u, k_v, dt):
@@ -287,7 +268,7 @@ def transition_terms(omega_u, omega_v, k_u, k_v, dt):
 
 def transition_matrix(params: RafParams, dt: float) -> np.ndarray:
     """Exact one-step propagator exp(A*dt) as a 2x2 array."""
-    _check_dt(dt)
+    _check_positive("dt", dt)
     mat = np.reshape(transition_terms(params.omega_u, params.omega_v, params.k_u, params.k_v, dt),
                      (2, 2))
     if not np.all(np.isfinite(mat)):
@@ -305,7 +286,7 @@ def input_vector(params: RafParams, dt: float) -> np.ndarray:
     max|A|*dt > 0.5. Immune to the singular-A corner cases of the eigenvalue
     formulas.
     """
-    _check_dt(dt)
+    _check_positive("dt", dt)
     A = np.array([[-params.k_u, -params.omega_v],
                   [params.omega_u, -params.k_v]], dtype=float)
     scale = float(np.max(np.abs(A))) * dt
@@ -313,7 +294,7 @@ def input_vector(params: RafParams, dt: float) -> np.ndarray:
         raise SimulationError(f"max|A|*dt is not finite for {params!r}, dt={dt!r}")
     if scale > 2.0**1022:  # dt / 2**n_half below would not fit a float
         raise SimulationError(f"max|A|*dt = {scale!r} is above 2**1022 for {params!r}, dt={dt!r}")
-    n_half = max(0, int(math.ceil(math.log2(scale / 0.5)))) if scale > 0.5 else 0
+    n_half = math.ceil(math.log2(scale / 0.5)) if scale > 0.5 else 0
     h = dt / (1 << n_half)
 
     # G(h) = sum_k A^k h^(k+1) / (k+1)!   (14 terms: remainder < 1e-17 at |A|h <= 0.5)
@@ -343,7 +324,10 @@ def step(state: NeuronState, params: RafParams, input_increment: float,
     input_increment is added to u at the step boundary (impulse model);
     hold_current is a constant current integrated exactly over the step.
     The spike flag is v >= theta evaluated on the new state; the state
-    itself is never reset.
+    itself is never reset. The inputs are checked only when the new state
+    is not finite: a non-finite input_increment or hold_current raises
+    ValueError naming it, and otherwise SimulationError names the new
+    state, the state before the step and both inputs.
 
     M and the zero-order-hold vector b come from simulate's cache
     (``_propagator``, keyed by params and dt), so a step equals a one-step
@@ -356,8 +340,11 @@ def step(state: NeuronState, params: RafParams, input_increment: float,
     u = m00 * state.u + m01 * state.v + fu
     v = m10 * state.u + m11 * state.v + fv
     if not (math.isfinite(u) and math.isfinite(v)):
-        raise SimulationError(
-            f"non-finite state ({u!r}, {v!r}) after step with {params!r}, dt={dt!r}")
+        _check_finite("input_increment", input_increment)
+        _check_finite("hold_current", hold_current)
+        raise SimulationError(f"non-finite state ({u!r}, {v!r}) after step from {state!r} "
+                              f"with input_increment={input_increment!r}, "
+                              f"hold_current={hold_current!r}, {params!r}, dt={dt!r}")
     new_state = NeuronState(float(u), float(v))
     return new_state, bool(new_state.v >= params.theta)
 
@@ -461,8 +448,9 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     step, 8e-13 at 100k steps and 2.4e-12 at 300k, where the loop stays
     within 3e-14 of the same recurrence run in extended precision.
 
-    Run path: simulate bins the events and hands the currents and the
-    binned impulses to ``_run``, the one run path it shares with
+    Run path: simulate bins the events, each in step floor(t/dt) by numpy's
+    floor division (``InputSignal.impulse_increments``), and hands the
+    currents and the binned impulses to ``_run``, the one run path it shares with
     resonance_response. If the scan leaves a state that is not finite, the
     per-step loop reruns the whole run from step 0: a kernel overflow that
     the loop avoids gives the loop's trace, and a state that truly leaves
@@ -478,15 +466,13 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     across them.
     """
     _check_count("n_steps", n_steps)
-    _check_dt(dt)  # before the events are binned by it
+    _check_positive("dt", dt)  # before the events are binned by it
     currents = input_signal.dense
     if currents is not None and len(currents) != n_steps:
         raise ValueError(f"dense input has {len(currents)} samples, expected {n_steps}")
     increments = input_signal.impulse_increments(dt, n_steps) if len(input_signal.events) else None
     X = _run(params, dt, n_steps, currents, increments, initial_state or NeuronState())
-    us, vs = X[:, 0], X[:, 1]
-    zs = (vs >= params.theta).astype(np.int8)
-    return StateTrace(dt=dt, u=us, v=vs, z=zs,
+    return StateTrace(dt=dt, u=X[:, 0], v=X[:, 1], z=(X[:, 1] >= params.theta).astype(np.int8),
                       metadata={"params": params, "n_steps": n_steps})
 
 
@@ -624,8 +610,9 @@ def resonance_response(params: RafParams, drive_frequency: float,
 
     The first 60% of the run is discarded as transient, so duration should
     cover several decay times. Each argument is checked at entry, and a bad
-    one raises ValueError naming it: so does a duration that rounds to fewer
-    than 2 steps, or to more steps than a float holds.
+    one raises ValueError naming it: so does a steps_per_cycle for which 1/dt
+    overflows, and a duration that rounds to fewer than 2 steps, or to more
+    steps than a float holds.
 
     The step is dt = 1/(steps_per_cycle * max(f, resonance frequency)), so
     every drive frequency below resonance runs at one dt. The points of a
@@ -640,16 +627,17 @@ def resonance_response(params: RafParams, drive_frequency: float,
     from step 0, as in simulate: it repairs a kernel overflow or raises
     simulate's SimulationError.
     """
-    if not (drive_frequency > 0 and math.isfinite(drive_frequency)):
-        raise ValueError(f"drive_frequency must be finite and > 0, got {drive_frequency!r}")
-    if not math.isfinite(drive_amplitude):
-        raise ValueError(f"drive_amplitude must be finite, got {drive_amplitude!r}")
-    if not (duration > 0 and math.isfinite(duration)):
-        raise ValueError(f"duration must be finite and > 0, got {duration!r}")
+    _check_positive("drive_frequency", drive_frequency)
+    _check_finite("drive_amplitude", drive_amplitude)
+    _check_positive("duration", duration)
     _check_count("steps_per_cycle", steps_per_cycle)
     f_ref = max(drive_frequency, params.resonance_frequency)
-    dt = 1.0 / (steps_per_cycle * f_ref)
-    steps = duration / dt
+    try:  # an int past the float range overflows, and so can 1/dt, giving dt = 0
+        dt = 1.0 / (float(steps_per_cycle) * f_ref)
+        steps = duration / dt
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"steps_per_cycle must be small enough that 1/dt is finite, got "
+                         f"{steps_per_cycle!r} at drive_frequency = {drive_frequency!r}") from None
     if not math.isfinite(steps):
         raise ValueError(f"duration must be a finite number of steps, got {duration!r}: "
                          f"duration / dt overflows at dt = {dt!r}")

@@ -425,6 +425,33 @@ class TestStep:
                          initial_state=NeuronState(u0, v0))
         assert state.u == trace.u[0] and state.v == trace.v[0]
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"input_increment": math.nan}, "input_increment"),
+        ({"input_increment": -math.inf}, "input_increment"),
+        ({"hold_current": math.inf}, "hold_current"),
+        ({"hold_current": math.nan}, "hold_current"),
+        ({"input_increment": math.inf, "hold_current": math.nan}, "input_increment"),
+    ])
+    def test_rejects_a_non_finite_input(self, kwargs, name):
+        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100)
+        args = {"input_increment": 0.5, "hold_current": 2.0}
+        value = {**args, **kwargs}[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+                step(NeuronState(0.1, -0.2), p, dt=1e-3, **{**args, **kwargs})
+
+    def test_error_names_the_state_before_the_step_and_both_inputs(self):
+        # M is the identity and the inputs are finite, but u overflows
+        p = RafParams(omega_u=0.0, omega_v=0.0)
+        before = NeuronState(1e308, -0.25)
+        match = re.escape(f"non-finite state (inf, -0.25) after step from {before!r} with "
+                          f"input_increment=1e+308, hold_current=0.0, {p!r}, dt=0.001")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError, match=f"^{match}$"):
+                step(before, p, 1e308, 1e-3)
+
     def test_fails_alike_with_one_step_simulate_without_current(self):
         # M is finite, but b overflows in input_vector's doubling at dt = 1e5
         p = RafParams(omega_u=1e300, omega_v=0.0)
@@ -903,6 +930,9 @@ class TestResonanceResponse:
         ({"duration": 1e306}, "duration"),  # duration / dt overflows
         ({"drive_amplitude": math.inf}, "drive_amplitude"),
         ({"drive_amplitude": math.nan}, "drive_amplitude"),
+        # 1/dt = steps_per_cycle * drive_frequency overflows, so dt would be 0
+        ({"drive_frequency": 1e300, "steps_per_cycle": 10**10}, "steps_per_cycle"),
+        ({"steps_per_cycle": 10**400}, "steps_per_cycle"),  # past the float range
     ])
     def test_rejects_bad_arguments_at_entry(self, kwargs, name):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.05, tau_v=0.05)
@@ -981,12 +1011,17 @@ class TestTypesAndValidation:
         dt, n_steps = 0.25, 8  # the horizon n_steps * dt = 2.0 is exact
         inside = InputSignal(events=[(0.0, 1.0), (math.nextafter(2.0, 0.0), 1.0)])
         assert inside.impulse_increments(dt, n_steps)[-1] == 1.0
-        for t in (2.0, 5.0):
+        # on the horizon, past it, about 2**60 steps out, and a quotient that
+        # overflows to inf
+        for t, t_dt in ((2.0, dt), (5.0, dt), (3e17, dt), (1e300, 5e-324)):
             sig = InputSignal(events=[(0.0, 1.0), (t, 1.0)])
-            with pytest.raises(ValueError, match=f"time {t!r} is at or past the horizon"):
-                sig.impulse_increments(dt, n_steps)
-            with pytest.raises(ValueError, match="horizon"):
-                simulate(RafParams(omega_u=1.0, omega_v=1.0), sig, dt, n_steps)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError,
+                                   match=re.escape(f"time {t!r} is at or past the horizon")):
+                    sig.impulse_increments(t_dt, n_steps)
+                with pytest.raises(ValueError, match="horizon"):
+                    simulate(RafParams(omega_u=1.0, omega_v=1.0), sig, t_dt, n_steps)
 
     def test_an_event_just_below_the_horizon_is_inside(self):
         # the float 5 * 1e-4 lies below the exact product, so t/dt rounds up
