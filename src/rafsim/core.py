@@ -17,6 +17,7 @@ import functools
 import math
 import numbers
 import warnings
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,6 +166,7 @@ class InputSignal:
         given. An event whose step is n_steps or later, at or past the
         horizon n_steps*dt, is an error.
         """
+        _check_positive("dt", dt)
         if not len(self.events):
             return np.zeros(n_steps)
         # a quotient that overflows gives inf, and numpy flags it as over and invalid
@@ -466,7 +468,7 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     across them.
     """
     _check_count("n_steps", n_steps)
-    _check_positive("dt", dt)  # before the events are binned by it
+    _check_positive("dt", dt)  # here too: a dense-only run never calls impulse_increments
     currents = input_signal.dense
     if currents is not None and len(currents) != n_steps:
         raise ValueError(f"dense input has {len(currents)} samples, expected {n_steps}")
@@ -496,13 +498,13 @@ def _run(params, dt, n_steps, currents, increments, state=NeuronState(), first=0
     the state leaves the finite range.
     """
     m, b = _propagator(params, dt)
-    X = np.zeros((-(-n_steps // BLOCK) * BLOCK, 2))
+    X = np.empty((-(-n_steps // BLOCK) * BLOCK, 2))
+    X[n_steps:] = 0.0  # the pad rows: zero past the run
     with np.errstate(over="ignore", invalid="ignore"):
         _forcing(b, currents, increments, X[:n_steps])
         _blocked_scan(m, X, state.u, state.v, first // BLOCK)
         if not np.isfinite(X[first:n_steps]).all():
-            X[:n_steps] = 0.0  # the scan has overwritten the inputs
-            _forcing(b, currents, increments, X[:n_steps])
+            _forcing(b, currents, increments, X[:n_steps])  # the scan has overwritten them
             X[:n_steps, 0], X[:n_steps, 1] = _loop_scan(m, X[:n_steps, 0], X[:n_steps, 1],
                                                         state.u, state.v)
             finite = np.isfinite(X[:n_steps]).all(axis=1)
@@ -513,13 +515,16 @@ def _run(params, dt, n_steps, currents, increments, state=NeuronState(), first=0
 
 
 def _forcing(b, currents, increments, out):
-    """Write the per-step inputs into out, an (n_steps, 2) array of zeros.
+    """Write the per-step inputs into every value of out, an (n_steps, 2) array.
 
     Column 0 gets the u input, b0*I plus the impulse increments, and column
     1 the v input b1*I, where I is the current held over each step (ZOH).
-    currents and increments hold n_steps values each, or are None.
+    currents and increments hold n_steps values each, or are None. out
+    may come from np.empty: it is zeroed first where no currents fill it.
     """
-    if currents is not None:
+    if currents is None:
+        out[...] = 0.0
+    else:
         b0, b1 = b
         np.multiply(currents, b0, out=out[:, 0])
         np.multiply(currents, b1, out=out[:, 1])
@@ -555,8 +560,9 @@ def _blocked_scan(m, X, u, v, first=0):
     F = X.reshape(n_blocks, 2 * L)  # a view, so the scan writes into X
     mL, W = _toeplitz(m)
     k = n_blocks - 1
-    S = np.zeros((1 + -(-k // L) * L, 2))  # (u, v), then the start states of blocks 1..k
+    S = np.empty((1 + -(-k // L) * L, 2))  # (u, v), then the start states of blocks 1..k
     S[0] = u, v
+    S[n_blocks:] = 0.0  # zero past the run, as the level above reads it
     ends = S[1:n_blocks]
     np.matmul(F[:-1], W[:, -2:], out=ends)  # e of every block but the last
     if k <= L:
@@ -581,18 +587,20 @@ def _loop_scan(m, inc_u, inc_v, u, v):
 
     It also carries the block start states at the top level of
     _blocked_scan, and finishes a run in which simulate meets a non-finite
-    state. m = (m00, m01, m10, m11) holds M. States after the first
-    non-finite one are left NaN.
+    state. m = (m00, m01, m10, m11) holds M. Returns the states as two
+    float64 arrays of len(inc_u) values; those after the first non-finite
+    one are NaN. They are stored in array('d'), 8 bytes a value as in
+    numpy, but without numpy's per-element cost.
     """
     m00, m01, m10, m11 = m
-    us = np.full(len(inc_u), np.nan)
-    vs = np.full(len(inc_u), np.nan)
+    us = array("d", [math.nan]) * len(inc_u)
+    vs = array("d", us)
     for i, (fu, fv) in enumerate(zip(inc_u.tolist(), inc_v.tolist())):
         u, v = m00 * u + m01 * v + fu, m10 * u + m11 * v + fv
         us[i], vs[i] = u, v
         if not (math.isfinite(u) and math.isfinite(v)):
             break
-    return us, vs
+    return np.frombuffer(us), np.frombuffer(vs)
 
 
 def resonance_response(params: RafParams, drive_frequency: float,
@@ -648,7 +656,7 @@ def resonance_response(params: RafParams, drive_frequency: float,
     drive = _sine_drive(drive_frequency, drive_amplitude, dt, n_steps)
     first = int(0.6 * n_steps)  # the steady window's first step
     steady = _run(params, dt, n_steps, drive, None, first=first)[first:, 1]
-    return float(np.max(np.abs(steady)))
+    return float(np.abs(steady).max())
 
 
 def _sine_drive(frequency, amplitude, dt, n_steps):
@@ -664,6 +672,11 @@ def _sine_drive(frequency, amplitude, dt, n_steps):
     R = math.isqrt(n_steps) + 1
     a = w * np.arange(0, n_steps, R, dtype=float)  # R*J for J < ceil(n_steps / R)
     c = w * np.arange(0.5, R)
-    coef = np.column_stack((np.sin(a), np.cos(a)))
+    coef = np.empty((len(a), 2))
+    np.sin(a, out=coef[:, 0])
+    np.cos(a, out=coef[:, 1])
     coef *= amplitude
-    return (coef @ np.stack((np.cos(c), np.sin(c)))).reshape(-1)[:n_steps]
+    cs = np.empty((2, R))
+    np.cos(c, out=cs[0])
+    np.sin(c, out=cs[1])
+    return (coef @ cs).reshape(-1)[:n_steps]

@@ -224,6 +224,8 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError, match=match):
             simulate(p, InputSignal.impulse(1.0), dt, 10)
         with pytest.raises(ValueError, match=match):
+            InputSignal.impulse(1.0).impulse_increments(dt, 10)
+        with pytest.raises(ValueError, match=match):
             transition_matrix(p, dt)
         with pytest.raises(ValueError, match=match):
             input_vector(p, dt)
@@ -707,6 +709,66 @@ class TestScanKernel:
         currents[onset:] = current
         with pytest.raises(SimulationError, match=f"at step {failing_step} "):
             simulate(p, InputSignal(dense=currents), 1.0, n_steps)
+
+    # one step either side of whole blocks, then a second level and a third,
+    # each upper level with pad rows in its buffer
+    @pytest.mark.parametrize("n_steps", [3 * BLOCK - 1, 3 * BLOCK + 1, BLOCK * (BLOCK + 2) + 1,
+                                         BLOCK**2 * (BLOCK + 1) + 5 * BLOCK + 5])
+    def test_no_row_of_a_fresh_buffer_is_read_unwritten(self, monkeypatch, n_steps):
+        # With np.empty filled with NaN, a row read before it is written,
+        # such as a pad row left unzeroed, makes a state non-finite: the
+        # loop's repair, whose bits differ from the scan's, or an error follows.
+        p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
+        dt = 1.0 / (64 * 250)
+        mixed = mixed_input(p, dt, n_steps, n_steps)
+        signals = [mixed, InputSignal(dense=mixed.dense), InputSignal(events=mixed.events)]
+        sweep = RafParams(omega_u=TWO_PI * 200, omega_v=TWO_PI * 200, tau_u=0.05, tau_v=0.05)
+        points = [(f, n_steps / (64 * max(f, 200.0))) for f in (90.0, 200.0, 555.0)]
+
+        def run():
+            traces = [simulate(p, s, dt, n_steps, initial_state=NeuronState(0.4, -0.7))
+                      for s in signals]
+            return ([np.column_stack((t.u, t.v, t.z)).tobytes() for t in traces],
+                    [resonance_response(sweep, f, 1.5, duration) for f, duration in points])
+
+        expected = run()
+        empty = np.empty
+
+        def nan_empty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty", nan_empty)
+        assert np.isnan(np.empty(2)).all()
+        assert run() == expected
+
+    @pytest.mark.parametrize("bad_input", [None, "inf_at_0", "inf_at_17", "overflow_at_40"])
+    def test_loop_scan_is_the_plain_recurrence_until_a_non_finite_state(self, bad_input):
+        p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
+        m00, m01, m10, m11 = m = _propagator(p, 1e-5)[0]
+        inc = np.random.default_rng(5).normal(size=(50, 2))
+        if bad_input is not None:
+            kind, step_ = bad_input.split("_at_")
+            if kind == "inf":
+                inc[int(step_), 1] = math.inf
+            else:  # two inputs of 1e308 in a row; u, with m00 near 1, overflows
+                inc[int(step_) - 1:int(step_) + 1, 0] = 1e308
+        us, vs = _loop_scan(m, inc[:, 0], inc[:, 1], 0.25, -0.5)
+        assert us.dtype == vs.dtype == np.float64
+        assert len(us) == len(vs) == len(inc)
+        u, v, ref = 0.25, -0.5, []
+        for fu, fv in inc.tolist():
+            u, v = m00 * u + m01 * v + fu, m10 * u + m11 * v + fv
+            ref.append((u, v))
+        got = np.column_stack((us, vs))
+        finite = np.isfinite(got).all(axis=1)
+        n_ok = len(inc) if finite.all() else int(np.argmin(finite))
+        assert n_ok == (len(inc) if bad_input is None else int(step_))
+        assert got[:n_ok].tobytes() == np.array(ref[:n_ok]).tobytes()
+        if n_ok < len(inc):
+            np.testing.assert_array_equal(got[n_ok], ref[n_ok])  # the first non-finite state
+            assert np.isnan(got[n_ok + 1:]).all()
 
     def test_simulate_allocates_at_most_four_arrays_of_its_length(self):
         # the fresh buffers of a dense+events run: the scan's buffer of
