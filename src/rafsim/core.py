@@ -9,6 +9,9 @@ with a Heaviside spike output z = H(v - theta) and no reset: crossing the
 threshold never modifies the state. Because the system is linear, stepping
 uses the exact closed-form matrix exponential, so traces carry no step-size
 artifacts. States are dimensionless and centered at zero.
+
+Docstrings state contracts, each bound next to the test in tests/test_core.py
+that asserts it.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ __all__ = [
 ]
 
 BLOCK = 32  # steps per block of simulate's scan
-CHUNK = 128  # block rows per matmul of simulate's scan: a 64 KiB buffer
+CHUNK = 128  # blocks per matmul of simulate's scan
 
 
 class SimulationError(RuntimeError):
@@ -62,9 +65,9 @@ def _check_count(name, value):
 
 @dataclass(frozen=True)
 class RafParams:
-    """Mathematical neuron parameters.
+    """Mathematical neuron parameters; any other value raises ValueError naming it.
 
-    omega_u, omega_v: cross-coupling rates (rad/s), >= 0.
+    omega_u, omega_v: cross-coupling rates (rad/s), finite and >= 0.
     tau_u, tau_v: decay time constants (s), > 0 with a finite reciprocal;
         math.inf means no decay.
     theta: spike threshold on the v state (state units), finite.
@@ -91,12 +94,12 @@ class RafParams:
 
     @property
     def k_u(self) -> float:
-        """Decay rate 1/tau_u (0 for no decay)."""
-        return 0.0 if math.isinf(self.tau_u) else 1.0 / self.tau_u
+        """Decay rate 1/tau_u: 0.0 for tau_u = inf."""
+        return 1.0 / self.tau_u
 
     @property
     def k_v(self) -> float:
-        return 0.0 if math.isinf(self.tau_v) else 1.0 / self.tau_v
+        return 1.0 / self.tau_v
 
     @property
     def resonance_frequency(self) -> float:
@@ -108,7 +111,7 @@ class RafParams:
 
 @dataclass(frozen=True)
 class NeuronState:
-    """Instantaneous (u, v) state pair."""
+    """Instantaneous (u, v) state pair; a non-finite value raises ValueError."""
 
     u: float = 0.0
     v: float = 0.0
@@ -128,7 +131,8 @@ class InputSignal:
       * ``dense``: per-step current values (state units / s), held constant
         over each step (zero-order hold, integrated exactly).
 
-    Every time, amplitude and current must be finite, and times >= 0.
+    Every time, amplitude and current must be finite, and times >= 0, or
+    ValueError is raised, naming the first bad event if an event is bad.
     """
 
     def __init__(self, dense=None, events=None):
@@ -152,19 +156,17 @@ class InputSignal:
         return cls(events=[(time, amplitude)])
 
     def impulse_increments(self, dt: float, n_steps: int) -> np.ndarray:
-        """Per-step impulse amounts; an event at t lands in step floor(t/dt), exactly.
+        """Per-step impulse amounts: an event at t lands in step floor(t/dt) of the exact quotient.
 
-        The step is numpy's floor division of the floats t and dt, which
-        takes the exact remainder and so gives the floor of the exact
-        quotient wherever that is below 2**51: an event at a step boundary
-        k*dt, as the float k*dt rounds it, lands in step k if k*dt <= t and
-        in step k-1 otherwise. A quotient of 2**51 or more gives a step of at
-        least 2**51 - 1, and one that overflows gives inf. The bincount below
-        takes 8 bytes per step, 16 PiB at 2**51 steps, so every horizon it
-        can hold is below 2**51 - 1 and such an event is past it. Amplitudes
-        landing in one step are added in time order, ties in the order
-        given. An event whose step is n_steps or later, at or past the
-        horizon n_steps*dt, is an error.
+        numpy's floor division takes the exact remainder, so the step is
+        exact below a quotient of 2**51, and a larger quotient gives a step
+        past every horizon whose bincount fits in memory: an event at the
+        float k*dt lands in step k if k*dt <= t and in step k-1 otherwise
+        (test_events_near_step_boundaries_bin_by_the_exact_floor).
+        Amplitudes in one step are added in time order, ties in the order
+        given (test_coincident_events_out_of_order_match_in_order_loop). An
+        event at or past the horizon n_steps*dt raises ValueError
+        (test_events_at_or_past_the_horizon_are_rejected), as does a bad dt.
         """
         _check_positive("dt", dt)
         if not len(self.events):
@@ -183,7 +185,8 @@ class InputSignal:
 class StateTrace:
     """Recorded trajectory: arrays of post-step (u, v, z) values.
 
-    Sample i holds the state after i+1 steps, at time t = (i+1)*dt.
+    Sample i holds the state after i+1 steps, at time t = (i+1)*dt. A bad
+    dt, or u, v and z empty or of unequal lengths, raise ValueError.
     """
 
     dt: float
@@ -208,7 +211,7 @@ class StateTrace:
         return self.dt * np.arange(1, len(self.u) + 1)
 
     def to_csv(self, path) -> None:
-        """Write columns t, u, v, z; floats as repr, so they re-read exactly."""
+        """Write a header and columns t, u, v, z, with floats as repr."""
         columns = (self.times.tolist(), np.asarray(self.u, dtype=float).tolist(),
                    np.asarray(self.v, dtype=float).tolist(),
                    np.asarray(self.z, dtype=np.int64).tolist())
@@ -218,6 +221,15 @@ class StateTrace:
 
     @classmethod
     def from_csv(cls, path) -> "StateTrace":
+        """Read what to_csv writes: u, v and z bit for bit, and dt exactly.
+
+        t = (i+1)*dt, so dt = t[1] - t[0] = 2*dt - dt is exact (Sterbenz),
+        and a one-row file gives dt = t[0] (test_trace_csv_roundtrip,
+        test_trace_csv_roundtrip_one_row). A file with no rows
+        (test_trace_csv_without_rows_is_an_error) or with a column count
+        other than 4 (test_trace_csv_with_the_wrong_number_of_columns_is_an_error)
+        raises ValueError naming the file.
+        """
         with warnings.catch_warnings():  # a file without rows raises below instead
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -226,7 +238,6 @@ class StateTrace:
         if rows.shape[1] != 4:
             raise ValueError(f"trace file {str(path)!r} has {rows.shape[1]} columns, "
                              f"expected 4 (t, u, v, z)")
-        # t = (i+1)*dt, so t[1] - t[0] = 2*dt - dt is exact (Sterbenz)
         dt = rows[0, 0] if len(rows) == 1 else rows[1, 0] - rows[0, 0]
         return cls(dt=float(dt), u=rows[:, 1], v=rows[:, 2],
                    z=rows[:, 3].astype(np.int8))
@@ -235,15 +246,20 @@ class StateTrace:
 def transition_terms(omega_u, omega_v, k_u, k_v, dt):
     """Entries (m00, m01, m10, m11) of exp(A*dt) for A = [[-k_u, -omega_v], [omega_u, -k_v]].
 
-    Takes and returns Python floats and computes with math, that is libm,
-    so the bits do not depend on numpy's SIMD dispatch. Closed form
-    exp(A*dt) = env * (C*I + S*N) via A = mu*I + N with N*N = -disc*I:
-    disc > 0 gives damped rotation, disc < 0 real (overdamped) modes and
-    disc = 0 the critical limit; a NaN disc or an infinite rotation angle
-    gives four NaNs. The envelope env is applied last, so C and S stay
-    normal numbers where the entries are subnormal. The overdamped branch
-    takes env = exp((mu + lam)*dt); with rates >= 0 no exponent is
-    positive, so no exp overflows.
+    Python floats in and out, computed with math: the bits follow libm, not
+    numpy's SIMD dispatch (test_bits_do_not_follow_numpys_simd_dispatch).
+    Closed form exp(A*dt) = env * (C*I + S*N) via A = mu*I + N with
+    N*N = -disc*I: disc > 0 gives damped rotation, disc < 0 real
+    (overdamped) modes and disc = 0 the critical limit. A NaN disc or an
+    infinite rotation angle gives four NaNs. With rates >= 0 no exponent is
+    positive, so no exp overflows. env is applied last, so C and S stay
+    normal where the entries are subnormal.
+
+    Precision: within rtol 1e-9, atol 1e-12 of scipy's expm
+    (test_matches_scipy_expm); subnormal entries within 1e-11 relative of
+    the squared half step (test_subnormal_entries_keep_relative_precision);
+    a disc a few ulps either side of 0 within 1e-12 of scale of the
+    critical branch and of expm (test_continuous_across_critical_damping).
     """
     mu = -0.5 * (k_u + k_v)
     delta = 0.5 * (k_u - k_v)
@@ -269,7 +285,7 @@ def transition_terms(omega_u, omega_v, k_u, k_v, dt):
 
 
 def transition_matrix(params: RafParams, dt: float) -> np.ndarray:
-    """Exact one-step propagator exp(A*dt) as a 2x2 array."""
+    """transition_terms as a 2x2 array; a non-finite entry raises SimulationError."""
     _check_positive("dt", dt)
     mat = np.reshape(transition_terms(params.omega_u, params.omega_v, params.k_u, params.k_v, dt),
                      (2, 2))
@@ -281,12 +297,24 @@ def transition_matrix(params: RafParams, dt: float) -> np.ndarray:
 def input_vector(params: RafParams, dt: float) -> np.ndarray:
     """Zero-order-hold input weights b = integral_0^dt exp(A*s) @ [1, 0] ds.
 
-    A constant current I held over the step contributes b*I to the state.
-    Evaluated as G(dt) @ e1 with G(h) = integral of exp(A*s): a short Taylor
-    series at a halved step, then doubled via G(2h) = (I + exp(A*h)) @ G(h).
-    exp(A*h) is built only when the step is halved, that is when
-    max|A|*dt > 0.5. Immune to the singular-A corner cases of the eigenvalue
-    formulas.
+    A constant current I held over the step adds b*I to the state. b is the
+    first column of G(dt), G(h) = integral_0^h exp(A*s) ds: a Taylor series
+    at h = dt / 2**n, the largest step with max|A|*h <= 0.5, then n
+    doublings G(2h) = (I + exp(A*h)) @ G(h). exp(A*h) is built only when
+    n > 0 (test_builds_the_half_step_e_only_when_the_step_is_halved). The
+    doubling never mixes G's columns, so b keeps its value where the other
+    column overflows (test_an_overflow_in_gs_second_column_leaves_b_finite).
+    No eigenvalue formula is used, so a singular A is no special case
+    (test_singular_generators). The doubling's matmuls give b the rounding
+    of the BLAS kernel that runs them.
+
+    Precision: within 1e-7 relative of quadrature (test_matches_quadrature)
+    and of A^-1 (exp(A*dt) - I) e1 (test_matches_resolvent_formula).
+
+    Raises SimulationError if max|A|*dt is not finite
+    (test_rejects_a_step_out_of_range) or is above 2**1022, where dt / 2**n
+    would not fit a float (test_rejects_a_scale_above_2_to_the_1022), and
+    if b is not finite (test_fails_alike_with_one_step_simulate_without_current).
     """
     _check_positive("dt", dt)
     A = np.array([[-params.k_u, -params.omega_v],
@@ -294,12 +322,12 @@ def input_vector(params: RafParams, dt: float) -> np.ndarray:
     scale = float(np.max(np.abs(A))) * dt
     if not math.isfinite(scale):
         raise SimulationError(f"max|A|*dt is not finite for {params!r}, dt={dt!r}")
-    if scale > 2.0**1022:  # dt / 2**n_half below would not fit a float
+    if scale > 2.0**1022:
         raise SimulationError(f"max|A|*dt = {scale!r} is above 2**1022 for {params!r}, dt={dt!r}")
     n_half = math.ceil(math.log2(scale / 0.5)) if scale > 0.5 else 0
     h = dt / (1 << n_half)
 
-    # G(h) = sum_k A^k h^(k+1) / (k+1)!   (14 terms: remainder < 1e-17 at |A|h <= 0.5)
+    # G(h) = sum_k A^k h^(k+1) / (k+1)! for k <= 14
     G = np.eye(2) * h
     term = np.eye(2) * h
     for k in range(1, 15):
@@ -313,7 +341,7 @@ def input_vector(params: RafParams, dt: float) -> np.ndarray:
             for _ in range(n_half):
                 G = G + E @ G
                 E = E @ E
-        b = G @ np.array([1.0, 0.0])
+        b = G[:, 0]
     if not np.all(np.isfinite(b)):
         raise SimulationError(f"non-finite input vector for {params!r}, dt={dt!r}")
     return b
@@ -325,17 +353,17 @@ def step(state: NeuronState, params: RafParams, input_increment: float,
 
     input_increment is added to u at the step boundary (impulse model);
     hold_current is a constant current integrated exactly over the step.
-    The spike flag is v >= theta evaluated on the new state; the state
-    itself is never reset. The inputs are checked only when the new state
-    is not finite: a non-finite input_increment or hold_current raises
-    ValueError naming it, and otherwise SimulationError names the new
-    state, the state before the step and both inputs.
+    spiked is new_state.v >= theta; the state is never reset.
 
-    M and the zero-order-hold vector b come from simulate's cache
-    (``_propagator``, keyed by params and dt), so a step equals a one-step
-    simulate bit for bit and fails wherever simulate fails, even with no
-    current: a b that is not finite raises SimulationError whatever
-    hold_current is.
+    It reads simulate's (m, b) from ``_propagator``, so it equals a one-step
+    simulate bit for bit (test_hold_current_matches_dense_simulate) and
+    fails wherever that fails, whatever hold_current is
+    (test_fails_alike_with_one_step_simulate_without_current). The inputs
+    are checked only when the new state is not finite: a non-finite input
+    raises ValueError naming it (test_rejects_a_non_finite_input), and
+    otherwise SimulationError names the new state, the state before the
+    step and both inputs
+    (test_error_names_the_state_before_the_step_and_both_inputs).
     """
     (m00, m01, m10, m11), (b0, b1) = _propagator(params, dt)  # checks dt
     fu, fv = input_increment + b0 * hold_current, b1 * hold_current  # summed first, as in _forcing
@@ -353,13 +381,17 @@ def step(state: NeuronState, params: RafParams, input_increment: float,
 
 @functools.lru_cache(maxsize=8)
 def _propagator(params: RafParams, dt: float):
-    """(m, b) of params at step dt, memoised; read by step and simulate.
+    """(m, b) of params at step dt, cached; read by step and _run.
 
-    m = (m00, m01, m10, m11) holds the entries of M = exp(A*dt), and
-    b = (b0, b1) = input_vector(params, dt) the zero-order-hold vector;
-    input_vector checks dt. The key is the caller's params, so an error
-    raised while building names them. A non-finite M is kept, and simulate
-    reports the step where the state first leaves the finite range.
+    m = (m00, m01, m10, m11) = transition_terms(...) holds M = exp(A*dt),
+    and b = (b0, b1) = input_vector(params, dt) bit for bit
+    (test_b_is_input_vector_bit_for_bit); input_vector checks dt. The key
+    is the caller's params, so an error raised while building names them
+    (test_errors_name_the_callers_params), and dt one ulp apart do not
+    share (test_dt_one_ulp_apart_do_not_share). Warm and cold caches give
+    the same bits (test_cold_cache_gives_the_same_bits_as_warm). A
+    non-finite M is kept, for _run to name the step where the state first
+    leaves the finite range.
     """
     # b before M: the benchmark's tracer takes the last transition_terms span
     # of a run as M's own, directly under simulate
@@ -381,19 +413,22 @@ def _w_index(L):
 _W_INDEX = _w_index(BLOCK)
 
 
-@functools.lru_cache(maxsize=8)  # 8 W matrices of 32 KiB: 256 KiB in all
+@functools.lru_cache(maxsize=8)
 def _toeplitz(m):
-    """(mL, W) of the scan for the M with entries m, memoised.
+    """(mL, W) of the scan for the M with entries m, cached.
 
-    mL: the entries of M^L for L = BLOCK, M multiplied out L times as the
-        per-step loop would, which carries a block's start state to the
-        next block; the scan's next level runs on it, from this same cache.
+    mL: the entries of M^L for L = BLOCK, M multiplied out L times in the
+        per-step loop's order of operations
+        (test_carry_is_m_multiplied_out_block_times); it carries a block's
+        start state to the next block, and the scan's next level runs on it.
     W: the read-only (2*L, 2*L) block-Toeplitz matrix of M^0..M^(L-1) in
         step-major order: W[2*j + c, 2*i + r] = M^(i-j)[r, c] carries input
-        c at step j of a block to state r at step i. Its diagonal is exactly
-        1 and everything below it is 0, and its last two columns give a
-        block's end state. It is one gather (``_W_INDEX``) from the powers'
-        entries behind four zeros.
+        c at step j of a block to state r at step i, so row 2*j + c is the
+        loop's response to a unit input bit for bit
+        (test_w_rows_are_the_loops_response_to_a_unit_input). Its last two
+        columns give a block's end state. It is one gather (``_W_INDEX``)
+        from the powers' entries behind four zeros; the 8 cached W take
+        (2*L)**2 floats each (test_cache_holds_at_most_one_mib_of_w).
     """
     L = BLOCK
     m00, m01, m10, m11 = m
@@ -411,61 +446,16 @@ def _toeplitz(m):
 
 def simulate(params: RafParams, input_signal: InputSignal, dt: float,
              n_steps: int, initial_state: NeuronState | None = None) -> StateTrace:
-    """Simulate n_steps of the neuron.
+    """Simulate n_steps of the neuron from initial_state (zero if None).
 
-    Propagator: two small LRU caches of 8 entries each. M = exp(A*dt) and
-    the zero-order-hold vector b are built once per (params, dt)
-    (``_propagator``, which step reads too). The kernel's M^BLOCK and block
-    matrix W depend on M alone and are built once per M
-    (``_toeplitz``, 256 KiB in all): M's powers multiplied out in a Python
-    loop, then W in one gather from them through a constant index array.
-    The scan's upper levels take theirs from the same cache. A repeated dt,
-    such as the points of a resonance sweep below resonance, reuses both.
-    Results are the same bit for bit whether the caches are warm or cold.
-
-    Kernel: an exact multi-level blocked scan over the real 2x2 propagator
-    M (``_blocked_scan``), the chunked scan of a linear state-space recurrence,
-    run in place in one buffer. The per-step inputs are written into one
-    step-major (steps, 2) array of (u, v) pairs, padded with zeros to whole
-    blocks of BLOCK = 32 steps, and the scan turns them into the states
-    where they lie; the trace's u and v are strided views of its two
-    columns. Each block enters with its start state s folded into its first
-    input as M s, and one matmul with the block-Toeplitz matrix of
-    M^0..M^31 gives every state. The start states obey the same recurrence
-    over blocks, with M^32 in place of M, and are scanned the same way one
-    level up, until at most BLOCK + 1 blocks are left for the per-step loop
-    (``_loop_scan``): 100k steps take three levels, the last with 4 blocks.
-    M is never diagonalised, so the defective propagator of critical damping
-    needs no special case. With the carry loop-free, the matmul's 8 * BLOCK
-    flops per step set the block length: on a 2-vCPU Xeon, 32 steps scanned
-    12.7k and 100k steps about 20% faster than 64, and 16 was no faster than
-    32 and strayed further from the loop (7.4e-13 of scale at Q = 1e4).
-    The scan allocates no other array of the run's length.
-
-    Precision: against the per-step loop it replaced (``_loop_scan``), the
-    states agree within 1e-12 of the trace's largest |state|, Q >= 1e4 at
-    100k steps included (2.7e-13). The scan's error grows with the length
-    of the run, as M^32 carries the rounding of its 32 products: an
-    undamped neuron at 16 steps per cycle drifts by about 8e-18 of scale per
-    step, 8e-13 at 100k steps and 2.4e-12 at 300k, where the loop stays
-    within 3e-14 of the same recurrence run in extended precision.
-
-    Run path: simulate bins the events, each in step floor(t/dt) by numpy's
-    floor division (``InputSignal.impulse_increments``), and hands the
-    currents and the binned impulses to ``_run``, the one run path it shares with
-    resonance_response. If the scan leaves a state that is not finite, the
-    per-step loop reruns the whole run from step 0: a kernel overflow that
-    the loop avoids gives the loop's trace, and a state that truly leaves
-    the finite range raises SimulationError naming the first step at which
-    the loop leaves it. Input errors (a dense input of another length, an
-    event past the horizon) are raised before the propagator is built.
-
-    Reproducibility: M comes from libm (transition_terms), so its bits do
-    not depend on numpy's SIMD dispatch. b and the scan go through numpy
-    matmuls, whose bits follow the BLAS kernel that runs them: at a halved
-    step, b0 read 66 ulps apart under OpenBLAS's Haswell and Sandybridge
-    kernels. So a run repeats bit for bit on one libm and BLAS kernel, not
-    across them.
+    The events are binned by InputSignal.impulse_increments, and the run
+    takes ``_run``, the path resonance_response shares. A bad n_steps or
+    dt, a dense input of another length or an event past the horizon
+    raises ValueError before the propagator is built, and a state that
+    leaves the finite range raises SimulationError (see ``_run``). z is
+    v >= theta. The run's fresh memory peaks at 4 * n_steps floats
+    (test_simulate_allocates_at_most_four_arrays_of_its_length), and it
+    repeats bit for bit on one libm and one BLAS kernel.
     """
     _check_count("n_steps", n_steps)
     _check_positive("dt", dt)  # here too: a dense-only run never calls impulse_increments
@@ -484,18 +474,18 @@ def _run(params, dt, n_steps, currents, increments, state=NeuronState(), first=0
     currents (state units / s, held over each step) and increments (impulses
     added to u) are per-step arrays of n_steps values, or None for none.
     M and b come from ``_propagator``, which checks dt. The inputs go into
-    one padded buffer (``_forcing``), and the scan (``_blocked_scan``) turns
-    them into states in place from the chunk holding step first on; rows
-    before that chunk keep their inputs, and only the states from step
-    first on are meant to be read.
+    one padded buffer (``_forcing``), and ``_blocked_scan`` turns them into
+    states in place from the chunk holding step first on; only the states
+    from step first on are meant to be read.
 
-    Those states are checked once. If one is not finite, the per-step loop
-    (``_loop_scan``) reruns the whole run from step 0 on inputs written anew.
-    A non-finite value spreads over its whole block at every level of the
-    kernel, earlier steps included, and the kernel can overflow where the
-    loop would not: the loop either finishes the run, and its states replace
-    the kernel's, or raises SimulationError naming the first step at which
-    the state leaves the finite range.
+    Repair: those states are checked once. If one is not finite,
+    ``_loop_scan`` reruns the whole run from step 0 on inputs written anew:
+    the scan spreads a non-finite value over its block at every level, and
+    can overflow where the loop does not. The loop's states then replace
+    the scan's (test_kernel_overflow_the_loop_avoids_is_repaired,
+    test_repair_past_the_first_upper_block_is_the_loop_from_step_0), or
+    SimulationError names the first step at which the state leaves the
+    finite range (test_error_names_the_first_non_finite_step).
     """
     m, b = _propagator(params, dt)
     X = np.empty((-(-n_steps // BLOCK) * BLOCK, 2))
@@ -520,7 +510,7 @@ def _forcing(b, currents, increments, out):
     Column 0 gets the u input, b0*I plus the impulse increments, and column
     1 the v input b1*I, where I is the current held over each step (ZOH).
     currents and increments hold n_steps values each, or are None. out
-    may come from np.empty: it is zeroed first where no currents fill it.
+    may come from np.empty (test_no_row_of_a_fresh_buffer_is_read_unwritten).
     """
     if currents is None:
         out[...] = 0.0
@@ -537,23 +527,33 @@ def _blocked_scan(m, X, u, v, first=0):
 
     X is a C-ordered (n_blocks * L, 2) array of per-step (u, v) inputs, zero
     past the run, for L = BLOCK; m = (m00, m01, m10, m11) holds M, and M^L
-    and the block-Toeplitz matrix W come from M's cached ``_toeplitz(m)``.
-    Seen as (n_blocks, 2 * L), each row of X is one block, and a block that
-    starts from state s runs as if from zero with M s added to its first
-    input: x[i] = sum_{j<=i} M^(i-j) f[j] with f[0] += M s, that is the
-    block's row times W. The start states come first. They obey
-    s' = M^L s + e, where e is a block's end state from zero, its row times
-    the last two columns of W: the same recurrence over blocks, which this
-    function scans one level up in a buffer of its own, with M^L in place
-    of M. At most BLOCK + 1 blocks are carried by ``_loop_scan`` instead.
-    Every row of the product depends on that row alone, so the rows are
-    multiplied a chunk at a time through one small buffer and written back.
+    and the block-Toeplitz matrix W come from ``_toeplitz(m)``. Seen as
+    (n_blocks, 2 * L), each row of X is one block, and a block that starts
+    from state s runs as if from zero with M s added to its first input:
+    x[i] = sum_{j<=i} M^(i-j) f[j] with f[0] += M s, that is the block's row
+    times W. The start states come first. They obey s' = M^L s + e, where e
+    is a block's end state from zero: the same recurrence over blocks, which
+    this function scans one level up in a buffer of its own, with M^L in
+    place of M, until at most BLOCK + 1 blocks are left for ``_loop_scan``.
+    M is never diagonalised, so a defective M (critical damping) is no
+    special case.
 
     Only the blocks from first // CHUNK * CHUNK on become states; the rows
-    before them keep their inputs. Every block's end state is still
-    computed, so the start states, and the states written, are those of a
-    scan from block 0 bit for bit. The start is a whole chunk because
-    OpenBLAS can give a row other bits at another place in a matmul.
+    before them keep their inputs. The states written are those of a scan
+    from block 0 bit for bit
+    (test_a_scan_from_a_later_block_writes_the_whole_scans_bits): the start
+    is a whole chunk because OpenBLAS can give a row other bits at another
+    place in a matmul. The bits follow the BLAS kernel.
+
+    Precision: within SCAN_RTOL = 1e-12 of the trace's largest |state| of
+    ``_loop_scan`` (TestScanKernel: test_matches_loop,
+    test_matches_loop_across_levels, test_block_edges,
+    test_high_q_long_trace, up to 100k steps). M^L carries the rounding of
+    its L products to every level, so the error grows with the run: on an
+    undamped orbit at 16 steps per cycle, free or driven, the states stay
+    within n_steps * eps / 8 of the largest |state| of the exact recurrence
+    on M's float entries (test_scan_against_the_exact_recurrence, up to
+    300k steps).
     """
     L = BLOCK
     n_blocks = len(X) // L
@@ -583,14 +583,18 @@ def _blocked_scan(m, X, u, v, first=0):
 
 
 def _loop_scan(m, inc_u, inc_v, u, v):
-    """The recurrence one step per iteration: _blocked_scan's reference.
+    """The recurrence x[i] = M x[i-1] + f[i], one step per iteration: _blocked_scan's reference.
 
-    It also carries the block start states at the top level of
-    _blocked_scan, and finishes a run in which simulate meets a non-finite
-    state. m = (m00, m01, m10, m11) holds M. Returns the states as two
-    float64 arrays of len(inc_u) values; those after the first non-finite
-    one are NaN. They are stored in array('d'), 8 bytes a value as in
-    numpy, but without numpy's per-element cost.
+    It also carries the start states at _blocked_scan's top level and
+    reruns the runs that ``_run`` repairs. m = (m00, m01, m10, m11) holds
+    M. Returns the states as two float64 arrays of len(inc_u) values, NaN
+    after the first non-finite state, bit for bit the plain recurrence up to
+    it (test_loop_scan_is_the_plain_recurrence_until_a_non_finite_state).
+
+    Precision: on an undamped orbit at 16 steps per cycle, free or driven,
+    within n_steps * eps / 8 of the largest |state| of the exact recurrence
+    on M's float entries (test_loop_against_the_exact_recurrence, up to
+    300k steps).
     """
     m00, m01, m10, m11 = m
     us = array("d", [math.nan]) * len(inc_u)
@@ -608,32 +612,25 @@ def resonance_response(params: RafParams, drive_frequency: float,
                        steps_per_cycle: int = 64) -> float:
     """Peak |v| over the steady portion of a sinusoidally driven run.
 
-    The drive current amp*sin(2*pi*f*t) is sampled at step midpoints and
-    applied zero-order-hold. The samples come from about 4*sqrt(n_steps)
-    sines and cosines by angle addition (``_sine_drive``), not one sine per
-    step. Each lies within 2*eps*(1 + 2*pi*f*dt*n_steps)*|amp| of the exact
-    value, which is the rounding of its phase: over 0.2-5 times resonance at
-    64 steps per cycle and 100k steps, the worst was 2.4e-12*|amp|, against
-    2.8e-12*|amp| with one sine per step.
-
-    The first 60% of the run is discarded as transient, so duration should
-    cover several decay times. Each argument is checked at entry, and a bad
-    one raises ValueError naming it: so does a steps_per_cycle for which 1/dt
-    overflows, and a duration that rounds to fewer than 2 steps, or to more
-    steps than a float holds.
-
-    The step is dt = 1/(steps_per_cycle * max(f, resonance frequency)), so
-    every drive frequency below resonance runs at one dt. The points of a
-    sweep there share one cached (M, b) and one cached W (see simulate);
-    each point above resonance has its own dt, and so its own M and W.
+    The drive current amp*sin(2*pi*f*t) is sampled at step midpoints
+    (``_sine_drive``) and applied zero-order-hold, at
+    dt = 1/(steps_per_cycle * max(f, resonance frequency)): every drive
+    frequency below resonance runs at one dt and so shares the cached
+    propagators. The first 60% of the run is discarded as transient, so
+    duration should cover several decay times.
 
     The result is max|v| over simulate's trace from step int(0.6*n_steps)
-    on, bit for bit. The run takes simulate's own path (``_run``) with the
-    drive as its currents, but makes no InputSignal or StateTrace, and the
-    scan computes only the states of the chunks that hold the window. If a
-    state of the window is not finite, the per-step loop reruns the point
-    from step 0, as in simulate: it repairs a kernel overflow or raises
-    simulate's SimulationError.
+    on, bit for bit (test_equals_the_peak_of_simulates_window_bit_for_bit).
+    The run takes simulate's ``_run`` with the drive as its currents and
+    scans only the chunks that hold the window. A non-finite state in the
+    window raises simulate's SimulationError
+    (test_an_overflowing_drive_raises_simulates_error).
+
+    Each argument is checked at entry, and a bad one raises ValueError
+    naming it (test_rejects_bad_arguments_at_entry): so does a
+    steps_per_cycle for which 1/dt overflows, and a duration that rounds to
+    fewer than 2 steps (test_rejects_a_duration_under_two_steps) or to more
+    steps than a float holds.
     """
     _check_positive("drive_frequency", drive_frequency)
     _check_finite("drive_amplitude", drive_amplitude)
@@ -664,9 +661,11 @@ def _sine_drive(frequency, amplitude, dt, n_steps):
 
     By angle addition: with k = R*J + j and R = isqrt(n_steps) + 1, the value
     is amp*sin(a_J)*cos(c_j) + amp*cos(a_J)*sin(c_j) for a_J = w*(R*J) and
-    c_j = w*(j + 1/2), one (rows, 2) @ (2, R) matmul over about
-    4*sqrt(n_steps) sines and cosines. Every value is computed from two exact
-    angles, so no error accumulates along k.
+    c_j = w*(j + 1/2), one (rows, 2) @ (2, R) matmul over the sines and
+    cosines of ceil(n_steps / R) + R angles. Every value comes from two angles
+    computed directly, so no error accumulates along k: each is within
+    2*eps*(1 + w*n_steps)*|amplitude| of the exact value, the rounding of
+    its phase (test_sine_drive_is_within_its_phase_rounding).
     """
     w = 2.0 * math.pi * frequency * dt
     R = math.isqrt(n_steps) + 1

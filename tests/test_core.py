@@ -50,6 +50,9 @@ TWO_PI = 2.0 * math.pi
 # simulate's blocked scan against the per-step reference loop, as a share of
 # the trace's largest |state|
 SCAN_RTOL = 1e-12
+# the loop's and the scan's error against the exact recurrence on an undamped
+# orbit, per step of the run, as a share of the largest exact |state|
+EXACT_RTOL_PER_STEP = np.finfo(float).eps / 8
 
 
 def a_matrix(p: RafParams) -> np.ndarray:
@@ -71,7 +74,7 @@ def doubled_series_b(p: RafParams, dt: float) -> np.ndarray:
     for _ in range(n_half):
         G = G + E @ G
         E = E @ E
-    return G @ np.array([1.0, 0.0])
+    return G[:, 0]
 
 
 def euler_matrix(p: RafParams, dt: float, substeps: int) -> np.ndarray:
@@ -123,6 +126,25 @@ def assert_matches_loop(p, signal, dt, n_steps, state=NeuronState()):
     assert np.abs(trace.v - ref_v).max() <= tol
     flipped = trace.z != (ref_v >= p.theta)
     assert np.all(np.abs(ref_v[flipped] - p.theta) <= tol)
+
+
+def exact_recurrence(m, inc_u, inc_v, u, v):
+    """x[i] = M x[i-1] + f[i] on the exact values of m's floats, the inputs and (u, v).
+
+    In Python integers: M's entries at 80 fractional bits, which must hold
+    them exactly, and the state at 160, so each step is off by less than
+    2**-159. Returns the states as two float arrays, each value rounded once.
+    """
+    assert all((x * 2.0**80).is_integer() for x in m)
+    m00, m01, m10, m11 = (int(x * 2.0**80) for x in m)
+    u, v = int(math.ldexp(u, 160)), int(math.ldexp(v, 160))
+    us, vs = [], []
+    for fu, fv in zip(inc_u.tolist(), inc_v.tolist()):
+        u, v = (((m00 * u + m01 * v) >> 80) + int(math.ldexp(fu, 160)),
+                ((m10 * u + m11 * v) >> 80) + int(math.ldexp(fv, 160)))
+        us.append(u / 2**160)
+        vs.append(v / 2**160)
+    return np.array(us), np.array(vs)
 
 
 def mixed_input(p, dt, n_steps, seed):
@@ -376,6 +398,20 @@ class TestInputVector:
         b = input_vector(p, dt)
         assert len(calls) == e_builds
         assert b.tobytes() == expected.tobytes()
+
+    def test_an_overflow_in_gs_second_column_leaves_b_finite(self):
+        # A*e1 = 0, so b = (dt, 0) and M = [[1, -1e305], [0, 1]] are finite; the
+        # doubling overflows G's second column, -omega_v*dt**2/2, which b never reads
+        p = RafParams(omega_u=0.0, omega_v=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert input_vector(p, 1e5).tolist() == [1e5, 0.0]
+            assert step(NeuronState(0.5, 0.0), p, 0.25, 1e5, hold_current=2.0) == (
+                NeuronState(200_000.75, 0.0), False)
+            trace = simulate(p, InputSignal(dense=[2.0, 2.0, 2.0]), 1e5, 3,
+                             initial_state=NeuronState(0.5, 0.0))
+        assert trace.u.tolist() == [200_000.5, 400_000.5, 600_000.5]
+        assert trace.v.tolist() == [0.0, 0.0, 0.0]
 
     def test_scale_2_to_the_1022_still_builds(self):
         # the largest scale whose step halves to 0.5 within a float
@@ -788,6 +824,67 @@ class TestScanKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * n * 8
+
+
+UNDAMPED = RafParams(omega_u=TWO_PI, omega_v=TWO_PI)  # 1 Hz, no decay
+UNDAMPED_DT = 1.0 / 16  # 16 steps per cycle
+
+
+@pytest.fixture(scope="module", params=["free", "driven"])
+def undamped_orbit(request):
+    """(dense, start state, forcing, exact states) of 300k steps of UNDAMPED.
+
+    free: from (1, 0) with no input; driven: from (0, 0) with a random dense
+    current. The forcing is simulate's own, so the exact reference and the
+    float recurrences run on the same inputs.
+    """
+    n_steps = 300_000
+    if request.param == "free":
+        dense, state = None, NeuronState(1.0, 0.0)
+    else:
+        dense, state = np.random.default_rng(16).normal(size=n_steps), NeuronState()
+    m, b = _propagator(UNDAMPED, UNDAMPED_DT)
+    f = np.empty((n_steps, 2))
+    _forcing(b, dense, None, f)
+    return dense, state, f, exact_recurrence(m, f[:, 0], f[:, 1], state.u, state.v)
+
+
+def exact_error(us, vs, exact):
+    """Largest |error| of (us, vs) against the first len(us) exact states, over their peak."""
+    ex_u, ex_v = (x[:len(us)] for x in exact)
+    scale = max(np.abs(ex_u).max(), np.abs(ex_v).max())
+    return max(np.abs(us - ex_u).max(), np.abs(vs - ex_v).max()) / scale
+
+
+class TestExactReference:
+    """The loop and the scan against the recurrence on M's float entries run exactly.
+
+    Undamped, the error grows with the run, so the bound is n_steps times
+    EXACT_RTOL_PER_STEP.
+    """
+
+    def test_the_reference_is_the_rational_recurrence(self, undamped_orbit):
+        _, state, f, (ex_u, ex_v) = undamped_orbit
+        m00, m01, m10, m11 = map(Fraction, _propagator(UNDAMPED, UNDAMPED_DT)[0])
+        u, v = Fraction(state.u), Fraction(state.v)
+        for i, (fu, fv) in enumerate(f[:48].tolist()):
+            u, v = m00 * u + m01 * v + Fraction(fu), m10 * u + m11 * v + Fraction(fv)
+            assert abs(Fraction(ex_u[i]) - u) <= math.ulp(float(u))
+            assert abs(Fraction(ex_v[i]) - v) <= math.ulp(float(v))
+
+    @pytest.mark.parametrize("n_steps", [100_000, 300_000])
+    def test_loop_against_the_exact_recurrence(self, undamped_orbit, n_steps):
+        _, state, f, exact = undamped_orbit
+        m, _ = _propagator(UNDAMPED, UNDAMPED_DT)
+        us, vs = _loop_scan(m, f[:n_steps, 0], f[:n_steps, 1], state.u, state.v)
+        assert exact_error(us, vs, exact) <= n_steps * EXACT_RTOL_PER_STEP
+
+    @pytest.mark.parametrize("n_steps", [100_000, 300_000])
+    def test_scan_against_the_exact_recurrence(self, undamped_orbit, n_steps):
+        dense, state, _, exact = undamped_orbit
+        signal = InputSignal(dense=None if dense is None else dense[:n_steps])
+        trace = simulate(UNDAMPED, signal, UNDAMPED_DT, n_steps, initial_state=state)
+        assert exact_error(trace.u, trace.v, exact) <= n_steps * EXACT_RTOL_PER_STEP
 
 
 class TestPropagator:
