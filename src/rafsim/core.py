@@ -226,9 +226,10 @@ class StateTrace:
         t = (i+1)*dt, so dt = t[1] - t[0] = 2*dt - dt is exact (Sterbenz),
         and a one-row file gives dt = t[0] (test_trace_csv_roundtrip,
         test_trace_csv_roundtrip_one_row). A file with no rows
-        (test_trace_csv_without_rows_is_an_error) or with a column count
-        other than 4 (test_trace_csv_with_the_wrong_number_of_columns_is_an_error)
-        raises ValueError naming the file.
+        (test_trace_csv_without_rows_is_an_error), with a column count other
+        than 4 or with a z other than 0 or 1
+        (test_trace_csv_with_a_bad_column_is_an_error) raises ValueError
+        naming the file.
         """
         with warnings.catch_warnings():  # a file without rows raises below instead
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -238,9 +239,13 @@ class StateTrace:
         if rows.shape[1] != 4:
             raise ValueError(f"trace file {str(path)!r} has {rows.shape[1]} columns, "
                              f"expected 4 (t, u, v, z)")
+        z = rows[:, 3]
+        bad = np.flatnonzero((z != 0.0) & (z != 1.0))  # NaN too
+        if len(bad):
+            raise ValueError(f"trace file {str(path)!r} has z = {float(z[bad[0]])!r} at sample "
+                             f"{bad[0]}, expected 0 or 1")
         dt = rows[0, 0] if len(rows) == 1 else rows[1, 0] - rows[0, 0]
-        return cls(dt=float(dt), u=rows[:, 1], v=rows[:, 2],
-                   z=rows[:, 3].astype(np.int8))
+        return cls(dt=float(dt), u=rows[:, 1], v=rows[:, 2], z=z.astype(np.int8))
 
 
 def transition_terms(omega_u, omega_v, k_u, k_v, dt):
@@ -413,22 +418,26 @@ def _w_index(L):
 _W_INDEX = _w_index(BLOCK)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=32)
 def _toeplitz(m):
     """(mL, W) of the scan for the M with entries m, cached.
 
     mL: the entries of M^L for L = BLOCK, M multiplied out L times in the
         per-step loop's order of operations
         (test_carry_is_m_multiplied_out_block_times); it carries a block's
-        start state to the next block, and the scan's next level runs on it.
+        start state to the next block, and the scan's doubling squares it.
     W: the read-only (2*L, 2*L) block-Toeplitz matrix of M^0..M^(L-1) in
         step-major order: W[2*j + c, 2*i + r] = M^(i-j)[r, c] carries input
         c at step j of a block to state r at step i, so row 2*j + c is the
         loop's response to a unit input bit for bit
         (test_w_rows_are_the_loops_response_to_a_unit_input). Its last two
         columns give a block's end state. It is one gather (``_W_INDEX``)
-        from the powers' entries behind four zeros; the 8 cached W take
-        (2*L)**2 floats each (test_cache_holds_at_most_one_mib_of_w).
+        from the powers' entries behind four zeros.
+
+    The cache holds 32 entries, the most that a budget of 1 MiB of W allows
+    at (2*L)**2 floats each (test_cache_holds_at_most_one_mib_of_w), so up
+    to 32 distinct M, such as a sweep's, stay cached from one run to the next
+    (test_a_second_sweep_builds_no_w).
     """
     L = BLOCK
     m00, m01, m10, m11 = m
@@ -480,9 +489,10 @@ def _run(params, dt, n_steps, currents, increments, state=NeuronState(), first=0
 
     Repair: those states are checked once. If one is not finite,
     ``_loop_scan`` reruns the whole run from step 0 on inputs written anew:
-    the scan spreads a non-finite value over its block at every level, and
-    can overflow where the loop does not. The loop's states then replace
-    the scan's (test_kernel_overflow_the_loop_avoids_is_repaired,
+    the scan spreads a non-finite value over its block and, through the
+    carry, over every later block, and can overflow where the loop does
+    not. The loop's states then replace the scan's
+    (test_kernel_overflow_the_loop_avoids_is_repaired,
     test_repair_past_the_first_upper_block_is_the_loop_from_step_0), or
     SimulationError names the first step at which the state leaves the
     finite range (test_error_names_the_first_non_finite_step).
@@ -531,51 +541,54 @@ def _blocked_scan(m, X, u, v, first=0):
     (n_blocks, 2 * L), each row of X is one block, and a block that starts
     from state s runs as if from zero with M s added to its first input:
     x[i] = sum_{j<=i} M^(i-j) f[j] with f[0] += M s, that is the block's row
-    times W. The start states come first. They obey s' = M^L s + e, where e
-    is a block's end state from zero: the same recurrence over blocks, which
-    this function scans one level up in a buffer of its own, with M^L in
-    place of M, until at most BLOCK + 1 blocks are left for ``_loop_scan``.
-    M is never diagonalised, so a defective M (critical damping) is no
-    special case.
+    times W, the scan's one Toeplitz level. The start states come first.
+    They obey s' = M^L s + e, where e is a block's end state from zero, and
+    a doubling carries them (the associative scan of a linear recurrence):
+    S holds (u, v) and then the e of every block but the last, and each
+    round d = 1, 2, 4, ... adds M^(L*d) S[i-d] to S[i] for i >= d, with
+    M^(L*2d) the square of M^(L*d) in Python floats. After the round for d,
+    S[i] sums the 2*d terms up to i, so ceil(log2(n_blocks)) rounds leave S
+    holding the start states. Only M's own W is built, so ``_toeplitz``
+    misses once per distinct M (test_a_cold_long_run_builds_w_once). M is
+    never diagonalised, so a defective M (critical damping) is no special
+    case.
 
     Only the blocks from first // CHUNK * CHUNK on become states; the rows
     before them keep their inputs. The states written are those of a scan
     from block 0 bit for bit
     (test_a_scan_from_a_later_block_writes_the_whole_scans_bits): the start
     is a whole chunk because OpenBLAS can give a row other bits at another
-    place in a matmul. The bits follow the BLAS kernel.
+    place in a matmul. The bits follow the BLAS kernel, in the carry's
+    rounds as in the Toeplitz level.
 
-    Precision: within SCAN_RTOL = 1e-12 of the trace's largest |state| of
-    ``_loop_scan`` (TestScanKernel: test_matches_loop,
-    test_matches_loop_across_levels, test_block_edges,
+    Precision: the bounds cover the whole scan, the Toeplitz level's sums
+    and the carry's rounds and squarings together. Within SCAN_RTOL = 1e-12
+    of the trace's largest |state| of ``_loop_scan`` (TestScanKernel:
+    test_matches_loop, test_matches_loop_across_levels, test_block_edges,
     test_high_q_long_trace, up to 100k steps). M^L carries the rounding of
-    its L products to every level, so the error grows with the run: on an
-    undamped orbit at 16 steps per cycle, free or driven, the states stay
-    within n_steps * eps / 8 of the largest |state| of the exact recurrence
-    on M's float entries (test_scan_against_the_exact_recurrence, up to
-    300k steps).
+    its L products, and each squaring doubles the rounding already in
+    M^(L*d), so the error grows with the run: on an undamped orbit at 16
+    steps per cycle, free or driven, the states stay within
+    n_steps * eps / 8 of the largest |state| of the exact recurrence on M's
+    float entries (test_scan_against_the_exact_recurrence, up to 300k steps).
     """
-    L = BLOCK
-    n_blocks = len(X) // L
-    F = X.reshape(n_blocks, 2 * L)  # a view, so the scan writes into X
-    mL, W = _toeplitz(m)
-    k = n_blocks - 1
-    S = np.empty((1 + -(-k // L) * L, 2))  # (u, v), then the start states of blocks 1..k
+    n_blocks = len(X) // BLOCK
+    F = X.reshape(n_blocks, 2 * BLOCK)  # a view, so the scan writes into X
+    (p00, p01, p10, p11), W = _toeplitz(m)  # the entries of M^(L*d), d = 1 here
+    S = np.empty((n_blocks, 2))  # (u, v), then e of blocks 0..n_blocks-2; start states after
     S[0] = u, v
-    S[n_blocks:] = 0.0  # zero past the run, as the level above reads it
-    ends = S[1:n_blocks]
-    np.matmul(F[:-1], W[:, -2:], out=ends)  # e of every block but the last
-    if k <= L:
-        ends[:, 0], ends[:, 1] = _loop_scan(mL, ends[:, 0], ends[:, 1], u, v)
-    else:
-        _blocked_scan(mL, S[1:], u, v)
+    np.matmul(F[:-1], W[:, -2:], out=S[1:])
+    for d in (1 << r for r in range((n_blocks - 1).bit_length())):  # 1, 2, 4, ... < n_blocks
+        S[d:] += S[:-d] @ np.array(((p00, p10), (p01, p11)))  # the right side is read first
+        p00, p01, p10, p11 = (p00 * p00 + p01 * p10, p00 * p01 + p01 * p11,
+                              p10 * p00 + p11 * p10, p10 * p01 + p11 * p11)
     start = first // CHUNK * CHUNK
-    su, sv = S[start:n_blocks, 0], S[start:n_blocks, 1]
+    su, sv = S[start:, 0], S[start:, 1]
     m00, m01, m10, m11 = m
     # f + (M s): the loop's own operations, so step 0 equals step() bit for bit
     F[start:, 0] += m00 * su + m01 * sv
     F[start:, 1] += m10 * su + m11 * sv
-    rows = np.empty((min(CHUNK, n_blocks - start), 2 * L))
+    rows = np.empty((min(CHUNK, n_blocks - start), 2 * BLOCK))
     for i in range(start, n_blocks, CHUNK):
         chunk = F[i:i + CHUNK]
         np.matmul(chunk, W, out=rows[:len(chunk)])
@@ -585,9 +598,8 @@ def _blocked_scan(m, X, u, v, first=0):
 def _loop_scan(m, inc_u, inc_v, u, v):
     """The recurrence x[i] = M x[i-1] + f[i], one step per iteration: _blocked_scan's reference.
 
-    It also carries the start states at _blocked_scan's top level and
-    reruns the runs that ``_run`` repairs. m = (m00, m01, m10, m11) holds
-    M. Returns the states as two float64 arrays of len(inc_u) values, NaN
+    It also reruns the runs that ``_run`` repairs. m = (m00, m01, m10, m11)
+    holds M. Returns the states as two float64 arrays of len(inc_u) values, NaN
     after the first non-finite state, bit for bit the plain recurrence up to
     it (test_loop_scan_is_the_plain_recurrence_until_a_non_finite_state).
 

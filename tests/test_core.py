@@ -640,18 +640,20 @@ class TestScanKernel:
            st.integers(BLOCK * (BLOCK + 1) + 1, 4 * BLOCK * (BLOCK + 1)),
            st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1))
     def test_matches_loop_across_levels(self, p, cycles_per_step, n_steps, u0, v0, seed):
-        # more than BLOCK + 1 blocks: the start states come from a second level
+        # 34 to 132 blocks: the doubling carries the start states in 6 to 8 rounds
         dt = cycles_per_step / max(p.resonance_frequency, p.k_u, p.k_v, 1.0)
         assert_matches_loop(p, mixed_input(p, dt, n_steps, seed), dt, n_steps,
                             NeuronState(u0, v0))
 
-    # the scan carries at most BLOCK + 1 blocks in a loop and scans more one
-    # level up: past BLOCK*(BLOCK+1) steps a second level, past
-    # BLOCK*(BLOCK*(BLOCK+1)+1) a third
+    # one step either side of one block and of BLOCK + 1 blocks, one step past
+    # BLOCK*(BLOCK+1) blocks and past one block more; and a block count at a
+    # power of two and one past it, where the doubling takes one round more
+    # (7 rounds, then 8)
     @pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 20_000,
                                          BLOCK * (BLOCK + 1) - 1, BLOCK * (BLOCK + 1),
                                          BLOCK * (BLOCK + 1) + 1, BLOCK**2 * (BLOCK + 1) + 1,
-                                         BLOCK * (BLOCK * (BLOCK + 1) + 1) + 1])
+                                         BLOCK * (BLOCK * (BLOCK + 1) + 1) + 1,
+                                         BLOCK * 2**7, BLOCK * 2**7 + 1])
     def test_block_edges(self, n_steps):
         p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
         dt = 1.0 / (64 * 250)
@@ -698,9 +700,10 @@ class TestScanKernel:
         np.testing.assert_array_equal(trace.v, ref_v)
 
     def test_repair_past_the_first_upper_block_is_the_loop_from_step_0(self):
-        # The two 1e308 impulses overflow the kernel in the second block of
-        # the upper level (steps 1024-2047), but not the loop, which adds them
-        # to a state of -1e308 one at a time. The repair reruns the loop from
+        # The two 1e308 impulses overflow the end state of block 62 (steps
+        # 1984-2015), which the carry passes on to the blocks after it (step
+        # 2047 among them), but not the loop, which adds them to a state of
+        # -1e308 one at a time. The repair reruns the loop from
         # step 0, so the steps before that block are the loop's bits too, not
         # the kernel's sums of the random drive.
         p = RafParams(omega_u=0.0, omega_v=0.0)  # M = I
@@ -733,21 +736,21 @@ class TestScanKernel:
             simulate(p, InputSignal(dense=currents), dt, 200)
 
     @pytest.mark.parametrize("p, n_steps, onset, current, failing_step", [
-        (RafParams(omega_u=0.0, omega_v=0.0), 3000, 2000, 0.6e308, 2002),  # second level
-        (RafParams(omega_u=0.0, omega_v=0.0), 40_000, 35_000, 0.6e308, 35_002),  # third level
+        (RafParams(omega_u=0.0, omega_v=0.0), 3000, 2000, 0.6e308, 2002),  # 94 blocks
+        (RafParams(omega_u=0.0, omega_v=0.0), 40_000, 35_000, 0.6e308, 35_002),  # 1250 blocks
         (RafParams(omega_u=0.3, omega_v=0.3, tau_u=50.0), 40_000, 35_000, 1e308, 35_001),
     ])
     def test_error_names_a_failing_step_past_the_first_upper_block(self, p, n_steps, onset,
                                                                    current, failing_step):
-        # past BLOCK**2 steps; the non-finite value spreads over an upper
-        # level's block, steps before the onset included
+        # past BLOCK**2 steps; the carry passes the non-finite state on to
+        # every later block, and the repair's loop names the first failing step
         currents = np.zeros(n_steps)
         currents[onset:] = current
         with pytest.raises(SimulationError, match=f"at step {failing_step} "):
             simulate(p, InputSignal(dense=currents), 1.0, n_steps)
 
-    # one step either side of whole blocks, then a second level and a third,
-    # each upper level with pad rows in its buffer
+    # one step either side of whole blocks, then 35 and 1062 blocks, carried in
+    # 6 and 11 rounds; each run with pad rows past its last step
     @pytest.mark.parametrize("n_steps", [3 * BLOCK - 1, 3 * BLOCK + 1, BLOCK * (BLOCK + 2) + 1,
                                          BLOCK**2 * (BLOCK + 1) + 5 * BLOCK + 5])
     def test_no_row_of_a_fresh_buffer_is_read_unwritten(self, monkeypatch, n_steps):
@@ -939,6 +942,27 @@ class TestPropagator:
         w_bytes = _toeplitz(m)[1].nbytes
         assert w_bytes == (2 * BLOCK) ** 2 * 8
         assert _toeplitz.cache_info().maxsize * w_bytes <= 2**20
+
+    def test_a_cold_long_run_builds_w_once(self):
+        # many more than BLOCK + 1 blocks, and the scan builds W for M alone
+        p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
+        dt = 1.0 / (64 * 250)
+        n_steps = 3 * BLOCK * (BLOCK + 1) + 7
+        signal = mixed_input(p, dt, n_steps, 6)
+        _toeplitz.cache_clear()
+        simulate(p, signal, dt, n_steps)
+        assert _toeplitz.cache_info().misses == 1
+
+    def test_a_second_sweep_builds_no_w(self):
+        # 31 points above resonance, each with a dt and an M of its own, as
+        # many as the benchmark's sweep has: all of their W stay cached
+        p = RafParams(omega_u=TWO_PI * 200, omega_v=TWO_PI * 200, tau_u=0.05, tau_v=0.05)
+        freqs = [200.0 * 1.05**k for k in range(1, 32)]
+        _toeplitz.cache_clear()
+        first = [resonance_response(p, f, 1.0, 0.02) for f in freqs]
+        assert _toeplitz.cache_info().misses == len(freqs)
+        assert [resonance_response(p, f, 1.0, 0.02) for f in freqs] == first
+        assert _toeplitz.cache_info().misses == len(freqs)
 
     def test_b_is_input_vector_bit_for_bit(self):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 110, tau_u=3e-3, tau_v=0.3,
@@ -1268,16 +1292,24 @@ class TestTypesAndValidation:
             with pytest.raises(ValueError, match=match):
                 StateTrace.from_csv(path)
 
-    @pytest.mark.parametrize("header, row, n_columns", [
-        ("t,u,v", "0.1,0.5,-0.5", 3), ("t,u,v,z,w", "0.1,0.5,-0.5,0,7.0", 5)],
-        ids=["three", "five"])
-    def test_trace_csv_with_the_wrong_number_of_columns_is_an_error(self, tmp_path, header,
-                                                                    row, n_columns):
+    @pytest.mark.parametrize("header, rows, message", [
+        ("t,u,v", ["0.1,0.5,-0.5"] * 2, "has 3 columns, expected 4 (t, u, v, z)"),
+        ("t,u,v,z,w", ["0.1,0.5,-0.5,0,7.0"] * 2, "has 5 columns, expected 4 (t, u, v, z)"),
+        # a cast to int8 alone would turn z = 0.7, 300 and -1 into 0, 44 and -1, silently
+        ("t,u,v,z", ["0.1,0.5,-0.5,1", "0.2,0.25,0.5,0.7"], "has z = 0.7 at sample 1"),
+        ("t,u,v,z", ["0.1,0.5,-0.5,0", "0.2,0.25,0.5,1", "0.3,0.0,1.5,300"],
+         "has z = 300.0 at sample 2"),
+        ("t,u,v,z", ["0.1,0.5,-0.5,-1", "0.2,0.25,0.5,0"], "has z = -1.0 at sample 0"),
+        ("t,u,v,z", ["0.1,0.5,-0.5,1", "0.2,0.25,0.5,nan"], "has z = nan at sample 1"),
+    ], ids=["three_columns", "five_columns", "z_fraction", "z_300", "z_negative", "z_nan"])
+    def test_trace_csv_with_a_bad_column_is_an_error(self, tmp_path, header, rows, message):
         path = tmp_path / "trace.csv"
-        path.write_text(f"{header}\n{row}\n{row}\n")
-        match = re.escape(f"trace file {str(path)!r} has {n_columns} columns, expected 4")
-        with pytest.raises(ValueError, match=match):
-            StateTrace.from_csv(path)
+        path.write_text(header + "\n" + "".join(row + "\n" for row in rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            match = re.escape(f"trace file {str(path)!r} {message}")
+            with pytest.raises(ValueError, match=match):
+                StateTrace.from_csv(path)
 
     def test_trace_csv_roundtrip_one_row(self, tmp_path):
         trace = StateTrace(dt=0.1, u=np.array([0.1 + 0.2]), v=np.array([-1e-300]),
