@@ -20,7 +20,6 @@ import functools
 import math
 import numbers
 import warnings
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,7 +135,7 @@ class InputSignal:
     """
 
     def __init__(self, dense=None, events=None):
-        self.dense = None if dense is None else np.asarray(dense, dtype=float)
+        self.dense = None if dense is None else np.array(dense, dtype=float)  # a copy
         if self.dense is not None:
             if self.dense.ndim != 1:
                 raise ValueError(f"dense input must be 1-D, got shape {self.dense.shape}")
@@ -166,17 +165,20 @@ class InputSignal:
         Amplitudes in one step are added in time order, ties in the order
         given (test_coincident_events_out_of_order_match_in_order_loop). An
         event at or past the horizon n_steps*dt raises ValueError
-        (test_events_at_or_past_the_horizon_are_rejected), as does a bad dt.
+        (test_events_at_or_past_the_horizon_are_rejected); so do a bad dt,
+        checked first, and a bad n_steps, checked after the horizon
+        (test_impulse_increments_rejects_a_bad_n_steps).
         """
         _check_positive("dt", dt)
-        if not len(self.events):
-            return np.zeros(n_steps)
         # a quotient that overflows gives inf, and numpy flags it as over and invalid
         with np.errstate(over="ignore", invalid="ignore"):
             steps = np.floor_divide(self.events[:, 0], dt)
-        if steps[-1] >= n_steps:
+        if len(steps) and steps[-1] >= n_steps:
             raise ValueError(f"event at time {float(self.events[-1, 0])!r} is at or past the "
                              f"horizon {n_steps} * {dt!r} = {n_steps * dt!r}")
+        _check_count("n_steps", n_steps)
+        if not len(steps):  # bincount would give int64 zeros
+            return np.zeros(n_steps)
         return np.bincount(steps.astype(np.int64), weights=self.events[:, 1],
                            minlength=n_steps)
 
@@ -227,9 +229,12 @@ class StateTrace:
         and a one-row file gives dt = t[0] (test_trace_csv_roundtrip,
         test_trace_csv_roundtrip_one_row). A file with no rows
         (test_trace_csv_without_rows_is_an_error), with a column count other
-        than 4 or with a z other than 0 or 1
-        (test_trace_csv_with_a_bad_column_is_an_error) raises ValueError
-        naming the file.
+        than 4, with a z other than 0 or 1
+        (test_trace_csv_with_a_bad_column_is_an_error) or with a t other than
+        (i+1)*dt for that dt (test_trace_csv_with_a_t_off_the_grid_is_an_error)
+        raises ValueError naming the file. Every t that to_csv writes is
+        that product exactly. u and v are read as written, non-finite too,
+        as StateTrace takes them.
         """
         with warnings.catch_warnings():  # a file without rows raises below instead
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -244,7 +249,12 @@ class StateTrace:
         if len(bad):
             raise ValueError(f"trace file {str(path)!r} has z = {float(z[bad[0]])!r} at sample "
                              f"{bad[0]}, expected 0 or 1")
-        dt = rows[0, 0] if len(rows) == 1 else rows[1, 0] - rows[0, 0]
+        t = rows[:, 0]
+        dt = t[0] if len(rows) == 1 else t[1] - t[0]
+        bad = np.flatnonzero(t != dt * np.arange(1, len(t) + 1))  # NaN too
+        if len(bad):
+            raise ValueError(f"trace file {str(path)!r} has t = {float(t[bad[0]])!r} at sample "
+                             f"{bad[0]}, expected (i+1)*dt = {float(dt * (bad[0] + 1))!r}")
         return cls(dt=float(dt), u=rows[:, 1], v=rows[:, 2], z=z.astype(np.int8))
 
 
@@ -487,11 +497,12 @@ def _run(params, dt, n_steps, currents, increments, state=NeuronState(), first=0
     states in place from the chunk holding step first on; only the states
     from step first on are meant to be read.
 
-    Repair: those states are checked once. If one is not finite,
-    ``_loop_scan`` reruns the whole run from step 0 on inputs written anew:
-    the scan spreads a non-finite value over its block and, through the
-    carry, over every later block, and can overflow where the loop does
-    not. The loop's states then replace the scan's
+    Repair: those states are checked once. If one is not finite, the
+    inputs are written anew and ``_loop_scan``, the scan's contract with
+    one plain step per row, turns the run's rows into states from step 0
+    in the same buffer: the scan spreads a non-finite value over its block
+    and, through the carry, over every later block, and can overflow where
+    the loop does not. The loop's states are then the run's
     (test_kernel_overflow_the_loop_avoids_is_repaired,
     test_repair_past_the_first_upper_block_is_the_loop_from_step_0), or
     SimulationError names the first step at which the state leaves the
@@ -505,8 +516,7 @@ def _run(params, dt, n_steps, currents, increments, state=NeuronState(), first=0
         _blocked_scan(m, X, state.u, state.v, first // BLOCK)
         if not np.isfinite(X[first:n_steps]).all():
             _forcing(b, currents, increments, X[:n_steps])  # the scan has overwritten them
-            X[:n_steps, 0], X[:n_steps, 1] = _loop_scan(m, X[:n_steps, 0], X[:n_steps, 1],
-                                                        state.u, state.v)
+            _loop_scan(m, X[:n_steps], state.u, state.v)
             finite = np.isfinite(X[:n_steps]).all(axis=1)
             if not finite.all():
                 raise SimulationError(f"non-finite state at step {int(np.argmin(finite))} "
@@ -561,6 +571,10 @@ def _blocked_scan(m, X, u, v, first=0):
     place in a matmul. The bits follow the BLAS kernel, in the carry's
     rounds as in the Toeplitz level.
 
+    Each chunk's matmul writes into the chunk it reads, which numpy's
+    matmul allows by copying the overlapping input first. ``_loop_scan``
+    keeps this contract, on the run's rows, with one plain step per row.
+
     Precision: the bounds cover the whole scan, the Toeplitz level's sums
     and the carry's rounds and squarings together. Within SCAN_RTOL = 1e-12
     of the trace's largest |state| of ``_loop_scan`` (TestScanKernel:
@@ -588,20 +602,19 @@ def _blocked_scan(m, X, u, v, first=0):
     # f + (M s): the loop's own operations, so step 0 equals step() bit for bit
     F[start:, 0] += m00 * su + m01 * sv
     F[start:, 1] += m10 * su + m11 * sv
-    rows = np.empty((min(CHUNK, n_blocks - start), 2 * BLOCK))
     for i in range(start, n_blocks, CHUNK):
-        chunk = F[i:i + CHUNK]
-        np.matmul(chunk, W, out=rows[:len(chunk)])
-        chunk[...] = rows[:len(chunk)]
+        np.matmul(F[i:i + CHUNK], W, out=F[i:i + CHUNK])
 
 
-def _loop_scan(m, inc_u, inc_v, u, v):
-    """The recurrence x[i] = M x[i-1] + f[i], one step per iteration: _blocked_scan's reference.
+def _loop_scan(m, X, u, v):
+    """Turn X into the states of x[i] = M x[i-1] + X[i] from x[-1] = (u, v), step by step.
 
-    It also reruns the runs that ``_run`` repairs. m = (m00, m01, m10, m11)
-    holds M. Returns the states as two float64 arrays of len(inc_u) values, NaN
-    after the first non-finite state, bit for bit the plain recurrence up to
-    it (test_loop_scan_is_the_plain_recurrence_until_a_non_finite_state).
+    ``_blocked_scan``'s contract with one plain step per row: the scan's
+    reference, and the kernel of the runs that ``_run`` repairs. X is an
+    (n_steps, 2) array of per-step (u, v) inputs, and m = (m00, m01, m10,
+    m11) holds M. Every row becomes the plain recurrence's state bit for
+    bit, a non-finite state and those after it too
+    (test_loop_scan_is_the_plain_recurrence_on_every_row).
 
     Precision: on an undamped orbit at 16 steps per cycle, free or driven,
     within n_steps * eps / 8 of the largest |state| of the exact recurrence
@@ -609,14 +622,11 @@ def _loop_scan(m, inc_u, inc_v, u, v):
     300k steps).
     """
     m00, m01, m10, m11 = m
-    us = array("d", [math.nan]) * len(inc_u)
-    vs = array("d", us)
-    for i, (fu, fv) in enumerate(zip(inc_u.tolist(), inc_v.tolist())):
+    states = []
+    for fu, fv in X.tolist():
         u, v = m00 * u + m01 * v + fu, m10 * u + m11 * v + fv
-        us[i], vs[i] = u, v
-        if not (math.isfinite(u) and math.isfinite(v)):
-            break
-    return np.frombuffer(us), np.frombuffer(vs)
+        states += u, v
+    X.flat = states
 
 
 def resonance_response(params: RafParams, drive_frequency: float,

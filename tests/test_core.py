@@ -111,9 +111,10 @@ def loop_reference(p, signal, dt, n_steps, state=NeuronState()):
     """(u, v) of the per-step reference loop on simulate's own forcing."""
     m = transition_terms(p.omega_u, p.omega_v, p.k_u, p.k_v, dt)
     _, b = _propagator(p, dt)
-    f = np.zeros((n_steps, 2))
-    _forcing(b, signal.dense, signal.impulse_increments(dt, n_steps), f)
-    return _loop_scan(m, f[:, 0], f[:, 1], state.u, state.v)
+    X = np.zeros((n_steps, 2))
+    _forcing(b, signal.dense, signal.impulse_increments(dt, n_steps), X)
+    _loop_scan(m, X, state.u, state.v)
+    return X[:, 0], X[:, 1]
 
 
 def assert_matches_loop(p, signal, dt, n_steps, state=NeuronState()):
@@ -783,31 +784,27 @@ class TestScanKernel:
         assert run() == expected
 
     @pytest.mark.parametrize("bad_input", [None, "inf_at_0", "inf_at_17", "overflow_at_40"])
-    def test_loop_scan_is_the_plain_recurrence_until_a_non_finite_state(self, bad_input):
+    def test_loop_scan_is_the_plain_recurrence_on_every_row(self, bad_input):
         p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
         m00, m01, m10, m11 = m = _propagator(p, 1e-5)[0]
-        inc = np.random.default_rng(5).normal(size=(50, 2))
+        X = np.random.default_rng(5).normal(size=(50, 2))
         if bad_input is not None:
             kind, step_ = bad_input.split("_at_")
             if kind == "inf":
-                inc[int(step_), 1] = math.inf
+                X[int(step_), 1] = math.inf
             else:  # two inputs of 1e308 in a row; u, with m00 near 1, overflows
-                inc[int(step_) - 1:int(step_) + 1, 0] = 1e308
-        us, vs = _loop_scan(m, inc[:, 0], inc[:, 1], 0.25, -0.5)
-        assert us.dtype == vs.dtype == np.float64
-        assert len(us) == len(vs) == len(inc)
+                X[int(step_) - 1:int(step_) + 1, 0] = 1e308
         u, v, ref = 0.25, -0.5, []
-        for fu, fv in inc.tolist():
+        for fu, fv in X.tolist():
             u, v = m00 * u + m01 * v + fu, m10 * u + m11 * v + fv
             ref.append((u, v))
-        got = np.column_stack((us, vs))
-        finite = np.isfinite(got).all(axis=1)
-        n_ok = len(inc) if finite.all() else int(np.argmin(finite))
-        assert n_ok == (len(inc) if bad_input is None else int(step_))
-        assert got[:n_ok].tobytes() == np.array(ref[:n_ok]).tobytes()
-        if n_ok < len(inc):
-            np.testing.assert_array_equal(got[n_ok], ref[n_ok])  # the first non-finite state
-            assert np.isnan(got[n_ok + 1:]).all()
+        _loop_scan(m, X, 0.25, -0.5)
+        finite = np.isfinite(X).all(axis=1)
+        n_ok = len(X) if finite.all() else int(np.argmin(finite))
+        assert n_ok == (len(X) if bad_input is None else int(step_))
+        # every row, the non-finite ones too; assert_array_equal takes NaN as equal to NaN
+        np.testing.assert_array_equal(X, ref)
+        assert X[:n_ok].tobytes() == np.array(ref[:n_ok]).tobytes()
 
     def test_simulate_allocates_at_most_four_arrays_of_its_length(self):
         # the fresh buffers of a dense+events run: the scan's buffer of
@@ -879,8 +876,9 @@ class TestExactReference:
     def test_loop_against_the_exact_recurrence(self, undamped_orbit, n_steps):
         _, state, f, exact = undamped_orbit
         m, _ = _propagator(UNDAMPED, UNDAMPED_DT)
-        us, vs = _loop_scan(m, f[:n_steps, 0], f[:n_steps, 1], state.u, state.v)
-        assert exact_error(us, vs, exact) <= n_steps * EXACT_RTOL_PER_STEP
+        X = f[:n_steps].copy()  # the fixture's forcing is shared
+        _loop_scan(m, X, state.u, state.v)
+        assert exact_error(X[:, 0], X[:, 1], exact) <= n_steps * EXACT_RTOL_PER_STEP
 
     @pytest.mark.parametrize("n_steps", [100_000, 300_000])
     def test_scan_against_the_exact_recurrence(self, undamped_orbit, n_steps):
@@ -996,11 +994,10 @@ class TestPropagator:
         _, W = _toeplitz(m)
         for j in range(BLOCK):
             for c in range(2):
-                f = np.zeros((BLOCK, 2))
-                f[j, c] = 1.0
-                us, vs = _loop_scan(m, f[:, 0], f[:, 1], 0.0, 0.0)
-                expected = np.column_stack((us, vs)).ravel()
-                assert W[2 * j + c].tobytes() == expected.tobytes(), (j, c)
+                X = np.zeros((BLOCK, 2))
+                X[j, c] = 1.0
+                _loop_scan(m, X, 0.0, 0.0)
+                assert W[2 * j + c].tobytes() == X.tobytes(), (j, c)
 
     def test_cached_arrays_are_read_only(self):
         m, _ = _propagator(RafParams(omega_u=1.0, omega_v=2.0), 1e-3)
@@ -1259,6 +1256,33 @@ class TestTypesAndValidation:
         with pytest.raises(ValueError):
             InputSignal(**kwargs)
 
+    def test_input_signal_copies_dense(self):
+        # a change to the caller's array after construction changes no output
+        p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
+        dt, n_steps = 1.0 / (64 * 250), 100
+        dense = mixed_input(p, dt, n_steps, 9).dense
+        signal = InputSignal(dense=dense)
+        before = simulate(p, signal, dt, n_steps)
+        dense[10] = math.nan
+        after = simulate(p, signal, dt, n_steps)
+        for a, b in ((before.u, after.u), (before.v, after.v), (before.z, after.z)):
+            assert a.tobytes() == b.tobytes()
+        assert np.isfinite(signal.dense).all()
+
+    # with an event in step 0, an n_steps below 1 puts it past the horizon, which is named first
+    @pytest.mark.parametrize("events, n_steps", [
+        (None, 2.5), (None, 10.0), (None, -1), (None, 0), (None, True),
+        ([(0.0, 1.0)], 2.5), ([(0.0, 1.0)], 10.0), ([(0.0, 1.0)], True),
+    ])
+    def test_impulse_increments_rejects_a_bad_n_steps(self, events, n_steps):
+        signal = InputSignal(events=events)
+        with pytest.raises(ValueError, match=re.escape(f"n_steps must be an integer >= 1, "
+                                                       f"got {n_steps!r}")):
+            signal.impulse_increments(1e-3, n_steps)
+        good = signal.impulse_increments(1e-3, 3)
+        assert good.dtype == np.float64
+        assert good.tolist() == ([0.0, 0.0, 0.0] if events is None else [1.0, 0.0, 0.0])
+
     def test_trace_csv_roundtrip(self, tmp_path):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100,
                       tau_u=20e-3, tau_v=20e-3, theta=0.2)
@@ -1320,3 +1344,44 @@ class TestTypesAndValidation:
         loaded = StateTrace.from_csv(path)
         assert (loaded.dt, loaded.u.tolist(), loaded.v.tolist(), loaded.z.tolist()) == (
             0.1, [0.1 + 0.2], [-1e-300], [1])
+
+    @pytest.mark.parametrize("rows, message", [
+        # t = 0.7 would read back as 0.3
+        (["0.1,0.5,-0.5,0", "0.2,0.25,0.5,1", "0.7,0.0,1.5,1"],
+         "has t = 0.7 at sample 2, expected (i+1)*dt = 0.30000000000000004"),
+        (["0.25,0.5,-0.5,0", "0.5,0.25,0.5,1", "0.75,0.0,1.5,1", "0.75,0.0,1.5,1"],
+         "has t = 0.75 at sample 3, expected (i+1)*dt = 1.0"),
+        (["0.25,0.5,-0.5,0", "0.5,0.25,0.5,1", "nan,0.0,1.5,1"],
+         "has t = nan at sample 2, expected (i+1)*dt = 0.75"),
+    ], ids=["t_jumps", "t_repeats", "t_nan"])
+    def test_trace_csv_with_a_t_off_the_grid_is_an_error(self, tmp_path, rows, message):
+        path = tmp_path / "trace.csv"
+        path.write_text("t,u,v,z\n" + "".join(row + "\n" for row in rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"trace file {str(path)!r} {message}")):
+                StateTrace.from_csv(path)
+
+    def test_trace_csv_roundtrip_keeps_every_t_on_the_grid(self, tmp_path):
+        # every t that to_csv writes is (i+1)*dt exactly, at any dt and length
+        rng = np.random.default_rng(18)
+        path = tmp_path / "trace.csv"
+        for dt, n in zip(10.0 ** rng.uniform(-300, 300, size=60), rng.integers(1, 300, size=60)):
+            trace = StateTrace(dt=float(dt), u=np.zeros(n), v=np.ones(n),
+                               z=np.zeros(n, dtype=np.int8))
+            trace.to_csv(path)
+            loaded = StateTrace.from_csv(path)
+            assert loaded.dt == trace.dt
+            assert loaded.times.tobytes() == trace.times.tobytes()
+
+    def test_trace_csv_reads_non_finite_u_and_v_as_written(self, tmp_path):
+        # StateTrace takes them, so from_csv reads back what to_csv writes of them
+        trace = StateTrace(dt=1e-3, u=np.array([math.nan, math.inf]),
+                           v=np.array([-math.inf, 0.5]), z=np.array([0, 1], dtype=np.int8))
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = StateTrace.from_csv(path)
+        assert loaded.u.tobytes() == trace.u.tobytes()
+        assert loaded.v.tobytes() == trace.v.tobytes()
