@@ -188,7 +188,9 @@ class StateTrace:
     """Recorded trajectory: arrays of post-step (u, v, z) values.
 
     Sample i holds the state after i+1 steps, at time t = (i+1)*dt. A bad
-    dt, or u, v and z empty or of unequal lengths, raise ValueError.
+    dt, u, v and z empty or of unequal lengths, or a z other than 0 or 1
+    (test_trace_rejects_a_z_other_than_0_or_1) raise ValueError; z is kept
+    as int8.
     """
 
     dt: float
@@ -198,12 +200,17 @@ class StateTrace:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_positive("dt", self.dt)
+        _check_positive("trace dt", self.dt)
         if len(self.u) == 0:
             raise ValueError("trace must be nonempty")
         if not len(self.u) == len(self.v) == len(self.z):
             raise ValueError(f"u, v and z must have equal lengths, "
                              f"got {len(self.u)}, {len(self.v)} and {len(self.z)}")
+        bad = np.flatnonzero((np.asarray(self.z) != 0) & (np.asarray(self.z) != 1))  # NaN too
+        if len(bad):
+            raise ValueError(f"trace has z = {float(self.z[bad[0]])!r} at sample {bad[0]}, "
+                             f"expected 0 or 1")
+        self.z = np.asarray(self.z, dtype=np.int8)
 
     def __len__(self):
         return len(self.u)
@@ -230,11 +237,12 @@ class StateTrace:
         test_trace_csv_roundtrip_one_row). A file with no rows
         (test_trace_csv_without_rows_is_an_error), with a column count other
         than 4, with a z other than 0 or 1
-        (test_trace_csv_with_a_bad_column_is_an_error) or with a t other than
-        (i+1)*dt for that dt (test_trace_csv_with_a_t_off_the_grid_is_an_error)
-        raises ValueError naming the file. Every t that to_csv writes is
-        that product exactly. u and v are read as written, non-finite too,
-        as StateTrace takes them.
+        (test_trace_csv_with_a_bad_column_is_an_error), with a t other than
+        (i+1)*dt for that dt or with a dt that is not finite and > 0
+        (test_trace_csv_with_a_t_off_the_grid_is_an_error) raises ValueError
+        naming the file; StateTrace checks z and dt. Every t that to_csv
+        writes is that product exactly. u and v are read as written,
+        non-finite too, as StateTrace takes them.
         """
         with warnings.catch_warnings():  # a file without rows raises below instead
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -244,18 +252,16 @@ class StateTrace:
         if rows.shape[1] != 4:
             raise ValueError(f"trace file {str(path)!r} has {rows.shape[1]} columns, "
                              f"expected 4 (t, u, v, z)")
-        z = rows[:, 3]
-        bad = np.flatnonzero((z != 0.0) & (z != 1.0))  # NaN too
-        if len(bad):
-            raise ValueError(f"trace file {str(path)!r} has z = {float(z[bad[0]])!r} at sample "
-                             f"{bad[0]}, expected 0 or 1")
-        t = rows[:, 0]
-        dt = t[0] if len(rows) == 1 else t[1] - t[0]
-        bad = np.flatnonzero(t != dt * np.arange(1, len(t) + 1))  # NaN too
+        t, u, v, z = rows.T
+        try:  # StateTrace checks dt and z first; its messages name the trace, these the file
+            trace = cls(dt=float(t[0] if len(t) == 1 else t[1] - t[0]), u=u, v=v, z=z)
+        except ValueError as e:
+            raise ValueError(f"trace file {str(path)!r}{str(e).removeprefix('trace')}") from None
+        bad = np.flatnonzero(t != trace.times)  # NaN too
         if len(bad):
             raise ValueError(f"trace file {str(path)!r} has t = {float(t[bad[0]])!r} at sample "
-                             f"{bad[0]}, expected (i+1)*dt = {float(dt * (bad[0] + 1))!r}")
-        return cls(dt=float(dt), u=rows[:, 1], v=rows[:, 2], z=z.astype(np.int8))
+                             f"{bad[0]}, expected (i+1)*dt = {float(trace.times[bad[0]])!r}")
+        return trace
 
 
 def transition_terms(omega_u, omega_v, k_u, k_v, dt):
@@ -312,19 +318,25 @@ def transition_matrix(params: RafParams, dt: float) -> np.ndarray:
 def input_vector(params: RafParams, dt: float) -> np.ndarray:
     """Zero-order-hold input weights b = integral_0^dt exp(A*s) @ [1, 0] ds.
 
-    A constant current I held over the step adds b*I to the state. b is the
-    first column of G(dt), G(h) = integral_0^h exp(A*s) ds: a Taylor series
-    at h = dt / 2**n, the largest step with max|A|*h <= 0.5, then n
-    doublings G(2h) = (I + exp(A*h)) @ G(h). exp(A*h) is built only when
-    n > 0 (test_builds_the_half_step_e_only_when_the_step_is_halved). The
-    doubling never mixes G's columns, so b keeps its value where the other
-    column overflows (test_an_overflow_in_gs_second_column_leaves_b_finite).
-    No eigenvalue formula is used, so a singular A is no special case
-    (test_singular_generators). The doubling's matmuls give b the rounding
-    of the BLAS kernel that runs them.
+    A constant current I held over the step adds b*I to the state. Only b's
+    column is formed: a Taylor series b(h) = sum_k A^k e1 h^(k+1) / (k+1)! at
+    h = dt / 2**n, the largest step with max|A|*h <= 0.5, then n doublings
+    b(2*h_i) = b(h_i) + exp(A*h_i) @ b(h_i) at h_i = dt / 2**(n - i), each
+    with its own closed-form exp(A*h_i) from transition_terms
+    (test_builds_one_e_per_doubling). No matrix is squared, and b never holds
+    the integral of the other column, so b keeps its value where that one
+    would overflow (test_an_overflow_in_gs_second_column_leaves_b_finite). No
+    eigenvalue formula is used, so a singular A is no special case
+    (test_singular_generators). exp(A*h_i)'s bits follow libm, and the
+    matrix-vector products give b the rounding of the BLAS kernel that runs
+    them.
 
-    Precision: within 1e-7 relative of quadrature (test_matches_quadrature)
-    and of A^-1 (exp(A*dt) - I) e1 (test_matches_resolvent_formula).
+    Precision: for n <= 7, within (4 + 4*n) eps of the largest |b| at the
+    steps dt / 2**j, j <= n, of the series summed exactly and rounded once
+    (test_matches_the_exact_series): b at dt itself cancels towards 0 where
+    dt is near whole cycles. Within 1e-7 relative of quadrature
+    (test_matches_quadrature) and of A^-1 (exp(A*dt) - I) e1
+    (test_matches_resolvent_formula).
 
     Raises SimulationError if max|A|*dt is not finite
     (test_rejects_a_step_out_of_range) or is above 2**1022, where dt / 2**n
@@ -342,21 +354,17 @@ def input_vector(params: RafParams, dt: float) -> np.ndarray:
     n_half = math.ceil(math.log2(scale / 0.5)) if scale > 0.5 else 0
     h = dt / (1 << n_half)
 
-    # G(h) = sum_k A^k h^(k+1) / (k+1)! for k <= 14
-    G = np.eye(2) * h
-    term = np.eye(2) * h
+    # b(h) = sum_k A^k e1 h^(k+1) / (k+1)! for k <= 14
+    b = term = np.array([h, 0.0])
     for k in range(1, 15):
-        term = term @ A * (h / (k + 1))
-        G = G + term
+        term = A @ term * (h / (k + 1))
+        b = b + term
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite E or b raises below
-        if n_half:  # E = exp(A*h), squared at each doubling
-            E = np.reshape(transition_terms(params.omega_u, params.omega_v, params.k_u,
-                                            params.k_v, h), (2, 2))
-            for _ in range(n_half):
-                G = G + E @ G
-                E = E @ E
-        b = G[:, 0]
+        for i in range(n_half):
+            E = transition_terms(params.omega_u, params.omega_v, params.k_u, params.k_v,
+                                 dt / (1 << (n_half - i)))
+            b = b + np.reshape(E, (2, 2)) @ b
     if not np.all(np.isfinite(b)):
         raise SimulationError(f"non-finite input vector for {params!r}, dt={dt!r}")
     return b

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rafsim
@@ -59,22 +59,27 @@ def a_matrix(p: RafParams) -> np.ndarray:
     return np.array([[-p.k_u, -p.omega_v], [p.omega_u, -p.k_v]])
 
 
-def doubled_series_b(p: RafParams, dt: float) -> np.ndarray:
-    """input_vector's b by its own operations, with E = exp(A*h) built even when unused."""
-    A = a_matrix(p)
-    scale = float(np.max(np.abs(A))) * dt
-    n_half = max(0, int(math.ceil(math.log2(scale / 0.5)))) if scale > 0.5 else 0
-    h = dt / (1 << n_half)
-    G = np.eye(2) * h
-    term = np.eye(2) * h
-    for k in range(1, 15):
-        term = term @ A * (h / (k + 1))
-        G = G + term
-    E = np.reshape(transition_terms(p.omega_u, p.omega_v, p.k_u, p.k_v, h), (2, 2))
-    for _ in range(n_half):
-        G = G + E @ G
-        E = E @ E
-    return G[:, 0]
+def exact_series_b(p: RafParams, dt: float) -> np.ndarray:
+    """b = sum_k A^k e1 dt^(k+1) / (k+1)! exactly, on the exact values of A's floats and dt.
+
+    With D the power of 2 that makes them integers, term k is
+    n_k / (D**(2k+1) * (k+1)!) with n_k = (D*A)^k e1 (D*dt)^(k+1). The sum is
+    kept over that common denominator in Python integers until a term is
+    below 2**-200 of it, then each entry is rounded once.
+    """
+    A = a_matrix(p).tolist()
+    D = max(Fraction(x).denominator for x in [dt, *A[0], *A[1]])
+    (a00, a01), (a10, a11) = ((int(Fraction(x) * D) for x in row) for row in A)
+    H = int(Fraction(dt) * D)
+    n0, n1, s0, s1, q = H, 0, H, 0, D
+    k = 1
+    while True:
+        n0, n1 = (a00 * n0 + a01 * n1) * H, (a10 * n0 + a11 * n1) * H
+        r = D * D * (k + 1)
+        s0, s1, q = s0 * r + n0, s1 * r + n1, q * r
+        if max(abs(n0), abs(n1)) << 200 < max(abs(s0), abs(s1)):
+            return np.array([s0 / q, s1 / q])
+        k += 1
 
 
 def euler_matrix(p: RafParams, dt: float, substeps: int) -> np.ndarray:
@@ -105,6 +110,12 @@ def critical_omega(w: float) -> float:
     while 1.0 / (1.0 / (2.0 * w)) != 2.0 * w:
         w = math.nextafter(w, math.inf)
     return w
+
+
+def critical_params(w: float) -> RafParams:
+    """An exactly critically damped neuron near omega_u = omega_v = w."""
+    w = critical_omega(w)
+    return RafParams(omega_u=w, omega_v=w, tau_u=1.0 / (2.0 * w))
 
 
 def loop_reference(p, signal, dt, n_steps, state=NeuronState()):
@@ -302,6 +313,7 @@ class TestTransitionMatrix:
 class TestInputVector:
     @settings(max_examples=60, deadline=None)
     @given(raf_params(), st.floats(0.01, 2.0))
+    @example(RafParams(omega_u=TWO_PI * 10, omega_v=TWO_PI * 10), 2.0)  # b near 0, dt = 0.2
     def test_matches_quadrature(self, p, cycles_per_step):
         # steps covering up to a couple of oscillation cycles, where the
         # quadrature oracle itself stays accurate
@@ -309,10 +321,25 @@ class TestInputVector:
         b = input_vector(p, dt)
         A = a_matrix(p)
         for row in range(2):
+            # expm's rounding puts quad's error floor near 1e-14 * dt; with dt <= 0.2
+            # here, epsabs stays 10x under the assertion's abs
             ref, _ = scipy.integrate.quad(
                 lambda s: scipy.linalg.expm(A * s)[row, 0], 0.0, dt,
-                limit=400, epsabs=1e-15, epsrel=1e-11)
+                limit=400, epsabs=5e-14 * dt, epsrel=1e-11)
             assert b[row] == pytest.approx(ref, rel=1e-7, abs=1e-13)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(raf_params(), st.floats(TWO_PI * 10, TWO_PI * 1e5).map(critical_params)),
+           st.integers(0, 7), st.floats(0.55, 0.95))
+    @example(RafParams(omega_u=TWO_PI * 5.5, omega_v=TWO_PI * 22.0), 7, 0.55)  # skewed and undamped
+    def test_matches_the_exact_series(self, p, halvings, frac):
+        # max|A|*dt = frac * 2**(halvings - 1), so input_vector halves dt that many
+        # times. The scale is the largest b of the halved steps, since b at dt
+        # cancels towards 0 where dt is near whole cycles, and its halves do not.
+        dt = frac * 2.0**(halvings - 1) / float(np.abs(a_matrix(p)).max())
+        scale = max(np.abs(exact_series_b(p, dt / 2**j)).max() for j in range(halvings + 1))
+        err = np.abs(input_vector(p, dt) - exact_series_b(p, dt)).max()
+        assert err <= (4 + 4 * halvings) * np.finfo(float).eps * scale
 
     @settings(max_examples=60, deadline=None)
     @given(raf_params(), st.floats(1e-5, 5e-3))
@@ -383,12 +410,10 @@ class TestInputVector:
             with pytest.raises(SimulationError, match=match):
                 simulate(p, InputSignal(), 1e-3, 3)
 
-    @pytest.mark.parametrize("dt, e_builds", [(1.0 / 6400, 0), (1e-2, 1)])
-    def test_builds_the_half_step_e_only_when_the_step_is_halved(self, monkeypatch, dt,
-                                                                e_builds):
-        # max|A|*dt is 0.11 at dt = 1/6400, so no doubling reads E; at dt = 0.01 it is 6.9
+    @pytest.mark.parametrize("dt, doublings", [(1.0 / 6400, 0), (1e-2, 4)])
+    def test_builds_one_e_per_doubling(self, monkeypatch, dt, doublings):
+        # max|A|*dt is 0.11 at dt = 1/6400, so no doubling; at dt = 0.01 it is 6.9, so 4
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 110, tau_u=3e-3, tau_v=0.3)
-        expected = doubled_series_b(p, dt)
         calls = []
 
         def counted(*args):
@@ -396,13 +421,14 @@ class TestInputVector:
             return transition_terms(*args)
 
         monkeypatch.setattr("rafsim.core.transition_terms", counted)
-        b = input_vector(p, dt)
-        assert len(calls) == e_builds
-        assert b.tobytes() == expected.tobytes()
+        input_vector(p, dt)
+        # doubling i reads exp(A*h_i) at h_i = dt / 2**(doublings - i)
+        assert calls == [(p.omega_u, p.omega_v, p.k_u, p.k_v, dt / 2**(doublings - i))
+                         for i in range(doublings)]
 
     def test_an_overflow_in_gs_second_column_leaves_b_finite(self):
         # A*e1 = 0, so b = (dt, 0) and M = [[1, -1e305], [0, 1]] are finite; the
-        # doubling overflows G's second column, -omega_v*dt**2/2, which b never reads
+        # integral of exp(A*s)'s second column, -omega_v*dt**2/2, would overflow
         p = RafParams(omega_u=0.0, omega_v=1e300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -985,8 +1011,7 @@ class TestPropagator:
         # row 2j + c of W holds the states (u, v) of each step of a block,
         # interleaved, after a unit input on component c at step j
         if critical:
-            w = critical_omega(TWO_PI * 377.0)
-            p, dt = RafParams(omega_u=w, omega_v=w, tau_u=1.0 / (2.0 * w)), 1e-4
+            p, dt = critical_params(TWO_PI * 377.0), 1e-4
         else:
             p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
             dt = 1.0 / (64 * 250)
@@ -1301,6 +1326,19 @@ class TestTypesAndValidation:
         with pytest.raises(ValueError, match="dt must be finite and > 0"):
             StateTrace(dt=dt, u=np.zeros(3), v=np.zeros(3), z=np.zeros(3, dtype=np.int8))
 
+    @pytest.mark.parametrize("z, message", [
+        ([0.0, 0.7, 1.0], "trace has z = 0.7 at sample 1, expected 0 or 1"),
+        ([0, 1, 2], "trace has z = 2.0 at sample 2, expected 0 or 1"),
+        ([1, -1, -1], "trace has z = -1.0 at sample 1, expected 0 or 1"),
+        ([0.0, 1.0, math.nan], "trace has z = nan at sample 2, expected 0 or 1"),
+    ], ids=["fraction", "two", "negative", "nan"])
+    def test_trace_rejects_a_z_other_than_0_or_1(self, z, message):
+        # to_csv's integer cast would write 0.7 as 0, and 2 and -1 as rows from_csv rejects
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                StateTrace(dt=1e-3, u=np.zeros(3), v=np.zeros(3), z=np.array(z))
+
     @pytest.mark.parametrize("lengths", [(3, 2, 3), (3, 3, 1), (2, 3, 3)])
     def test_trace_rejects_unequal_lengths(self, lengths):
         u, v, z = (np.zeros(k) for k in lengths)
@@ -1353,7 +1391,14 @@ class TestTypesAndValidation:
          "has t = 0.75 at sample 3, expected (i+1)*dt = 1.0"),
         (["0.25,0.5,-0.5,0", "0.5,0.25,0.5,1", "nan,0.0,1.5,1"],
          "has t = nan at sample 2, expected (i+1)*dt = 0.75"),
-    ], ids=["t_jumps", "t_repeats", "t_nan"])
+        # a t grid whose dt is not finite and > 0
+        (["0.0,0.5,-0.5,0", "0.0,0.25,0.5,1"], "dt must be finite and > 0, got 0.0"),
+        (["-0.5,0.5,-0.5,0", "-1.0,0.25,0.5,1"], "dt must be finite and > 0, got -0.5"),
+        (["0.0,0.5,-0.5,0"], "dt must be finite and > 0, got 0.0"),
+        (["-1.0,0.5,-0.5,0"], "dt must be finite and > 0, got -1.0"),
+        (["inf,0.5,-0.5,0"], "dt must be finite and > 0, got inf"),
+    ], ids=["t_jumps", "t_repeats", "t_nan", "dt_zero", "dt_negative", "one_row_t_zero",
+            "one_row_t_negative", "one_row_t_inf"])
     def test_trace_csv_with_a_t_off_the_grid_is_an_error(self, tmp_path, rows, message):
         path = tmp_path / "trace.csv"
         path.write_text("t,u,v,z\n" + "".join(row + "\n" for row in rows))
