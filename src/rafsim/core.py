@@ -132,6 +132,9 @@ class InputSignal:
 
     Every time, amplitude and current must be finite, and times >= 0, or
     ValueError is raised, naming the first bad event if an event is bad.
+    events that are not real numbers, ragged, or not empty and not shaped
+    (N, 2), and a dense input that is not 1-D, raise ValueError naming
+    events or dense (test_input_signal_rejects_non_finite_or_misshapen_input).
     """
 
     def __init__(self, dense=None, events=None):
@@ -141,8 +144,14 @@ class InputSignal:
                 raise ValueError(f"dense input must be 1-D, got shape {self.dense.shape}")
             if not np.all(np.isfinite(self.dense)):
                 raise ValueError("dense input must be finite")
-        events = () if events is None else events
-        ev = np.array(events, dtype=float).reshape(len(events), 2)  # (time, amplitude) rows
+        try:  # ragged rows and values that are not real numbers raise here
+            ev = np.array(() if events is None else events, dtype=float)  # (time, amplitude) rows
+        except (ValueError, TypeError) as e:
+            raise ValueError(f"events must be (time, amplitude) rows of numbers: {e}") from None
+        if ev.size and (ev.ndim != 2 or ev.shape[1] != 2):
+            raise ValueError(f"events must be (time, amplitude) rows, an (N, 2) array, "
+                             f"got shape {ev.shape}")
+        ev = ev.reshape(-1, 2)  # no events: (0, 2)
         ok = np.isfinite(ev).all(axis=1) & (ev[:, 0] >= 0.0)
         if not ok.all():
             i = int(np.argmin(ok))
@@ -187,10 +196,12 @@ class InputSignal:
 class StateTrace:
     """Recorded trajectory: arrays of post-step (u, v, z) values.
 
-    Sample i holds the state after i+1 steps, at time t = (i+1)*dt. A bad
-    dt, u, v and z empty or of unequal lengths, or a z other than 0 or 1
-    (test_trace_rejects_a_z_other_than_0_or_1) raise ValueError; z is kept
-    as int8.
+    Sample i holds the state after i+1 steps, at time t = (i+1)*dt. u and v
+    are kept as 1-D float64 arrays, without a copy where they are already
+    that, and z as a 1-D int8 array. A bad dt, a u, v or z that is not a 1-D
+    array of numbers (test_trace_rejects_a_misshapen_or_non_numeric_column),
+    u, v and z empty or of unequal lengths, or a z other than 0 or 1
+    (test_trace_rejects_a_z_other_than_0_or_1) raise ValueError.
     """
 
     dt: float
@@ -201,16 +212,22 @@ class StateTrace:
 
     def __post_init__(self):
         _check_positive("trace dt", self.dt)
-        if len(self.u) == 0:
+        u, v, z = (np.asarray(x) for x in (self.u, self.v, self.z))  # no copy of an array
+        for name, x in (("u", u), ("v", v), ("z", z)):
+            if x.ndim != 1 or x.dtype.kind not in "biuf":
+                raise ValueError(f"trace {name} must be a 1-D array of numbers, "
+                                 f"got shape {x.shape} of {x.dtype}")
+        if len(u) == 0:
             raise ValueError("trace must be nonempty")
-        if not len(self.u) == len(self.v) == len(self.z):
+        if not len(u) == len(v) == len(z):
             raise ValueError(f"u, v and z must have equal lengths, "
-                             f"got {len(self.u)}, {len(self.v)} and {len(self.z)}")
-        bad = np.flatnonzero((np.asarray(self.z) != 0) & (np.asarray(self.z) != 1))  # NaN too
+                             f"got {len(u)}, {len(v)} and {len(z)}")
+        bad = np.flatnonzero((z != 0) & (z != 1))  # NaN too
         if len(bad):
-            raise ValueError(f"trace has z = {float(self.z[bad[0]])!r} at sample {bad[0]}, "
+            raise ValueError(f"trace has z = {float(z[bad[0]])!r} at sample {bad[0]}, "
                              f"expected 0 or 1")
-        self.z = np.asarray(self.z, dtype=np.int8)
+        self.u, self.v = u.astype(np.float64, copy=False), v.astype(np.float64, copy=False)
+        self.z = z.astype(np.int8, copy=False)
 
     def __len__(self):
         return len(self.u)
@@ -221,9 +238,7 @@ class StateTrace:
 
     def to_csv(self, path) -> None:
         """Write a header and columns t, u, v, z, with floats as repr."""
-        columns = (self.times.tolist(), np.asarray(self.u, dtype=float).tolist(),
-                   np.asarray(self.v, dtype=float).tolist(),
-                   np.asarray(self.z, dtype=np.int64).tolist())
+        columns = self.times.tolist(), self.u.tolist(), self.v.tolist(), self.z.tolist()
         with open(path, "w", newline="") as fh:
             fh.write("t,u,v,z\n")
             fh.writelines(f"{t!r},{u!r},{v!r},{z}\n" for t, u, v, z in zip(*columns))
@@ -424,13 +439,14 @@ def _propagator(params: RafParams, dt: float):
 
 
 def _w_index(L):
-    """The (2*L, 2*L) gather that builds W from [0, 0, 0, 0] + the entries of M^0..M^(L-1).
+    """The (2*L, 2*L) gather that builds W from [0] + R.ravel(), R[k, c] = M^k e_c for k <= L.
 
-    Entry [2*j + c, 2*i + r] is 4 + 4*(i - j) + 2*r + c, the place of
-    M^(i-j)[r, c], where i >= j, and 0, which reads a zero, where i < j.
+    Entry [2*j + c, 2*i + r] is 1 + 4*(i - j) + 2*c + r, the place of
+    R[i - j, c, r] = M^(i-j)[r, c], where i >= j, and 0, which reads the
+    zero, where i < j.
     """
     j, c, i, r = np.ogrid[:L, :2, :L, :2]
-    return np.where(i >= j, 4 + 4 * (i - j) + 2 * r + c, 0).reshape(2 * L, 2 * L)
+    return np.where(i >= j, 1 + 4 * (i - j) + 2 * c + r, 0).reshape(2 * L, 2 * L)
 
 
 _W_INDEX = _w_index(BLOCK)
@@ -438,19 +454,25 @@ _W_INDEX = _w_index(BLOCK)
 
 @functools.lru_cache(maxsize=32)
 def _toeplitz(m):
-    """(mL, W) of the scan for the M with entries m, cached.
+    """(M^L transposed, W) of the scan for the M with entries m, cached.
 
-    mL: the entries of M^L for L = BLOCK, M multiplied out L times in the
-        per-step loop's order of operations
+    Both are the reference loop's response to a unit input: ``_loop_scan``
+    runs once per input component c on L + 1 zero inputs but a 1 on c at
+    step 0, from a zero state, so its states are R[k, c] = M^k e_c, the
+    powers multiplied out in the loop's own order of operations, for
+    L = BLOCK.
+
+    M^L transposed: the read-only 2x2 array R[L] = (M^L)^T
         (test_carry_is_m_multiplied_out_block_times); it carries a block's
-        start state to the next block, and the scan's doubling squares it.
+        start state, a row, to the next block, and the scan's doubling
+        squares it.
     W: the read-only (2*L, 2*L) block-Toeplitz matrix of M^0..M^(L-1) in
         step-major order: W[2*j + c, 2*i + r] = M^(i-j)[r, c] carries input
         c at step j of a block to state r at step i, so row 2*j + c is the
-        loop's response to a unit input bit for bit
+        loop's response to a unit input bit for bit by construction
         (test_w_rows_are_the_loops_response_to_a_unit_input). Its last two
         columns give a block's end state. It is one gather (``_W_INDEX``)
-        from the powers' entries behind four zeros.
+        from R behind one zero.
 
     The cache holds 32 entries, the most that a budget of 1 MiB of W allows
     at (2*L)**2 floats each (test_cache_holds_at_most_one_mib_of_w), so up
@@ -458,17 +480,13 @@ def _toeplitz(m):
     (test_a_second_sweep_builds_no_w).
     """
     L = BLOCK
-    m00, m01, m10, m11 = m
-    powers = []  # entries of M^0..M^(L-1), multiplied out as the loop does
-    mk = 1.0, 0.0, 0.0, 1.0  # entries of M^k; of M^L after the loop
-    for _ in range(L):
-        powers += mk
-        p00, p01, p10, p11 = mk
-        mk = (m00 * p00 + m01 * p10, m00 * p01 + m01 * p11,
-              m10 * p00 + m11 * p10, m10 * p01 + m11 * p11)
-    W = np.array([0.0] * 4 + powers)[_W_INDEX]
-    W.flags.writeable = False  # shared by every hit
-    return mk, W
+    R = np.zeros((L + 1, 2, 2))
+    R[0] = np.eye(2)  # the unit inputs at step 0
+    for c in (0, 1):
+        _loop_scan(m, R[:, c], 0.0, 0.0)
+    W = np.concatenate(([0.0], R.ravel()))[_W_INDEX]
+    W.flags.writeable = R.flags.writeable = False  # shared by every hit
+    return R[L], W
 
 
 def simulate(params: RafParams, input_signal: InputSignal, dt: float,
@@ -554,22 +572,22 @@ def _blocked_scan(m, X, u, v, first=0):
     """Turn X into the states of x[i] = M x[i-1] + X[i] from x[-1] = (u, v), in place.
 
     X is a C-ordered (n_blocks * L, 2) array of per-step (u, v) inputs, zero
-    past the run, for L = BLOCK; m = (m00, m01, m10, m11) holds M, and M^L
-    and the block-Toeplitz matrix W come from ``_toeplitz(m)``. Seen as
-    (n_blocks, 2 * L), each row of X is one block, and a block that starts
-    from state s runs as if from zero with M s added to its first input:
-    x[i] = sum_{j<=i} M^(i-j) f[j] with f[0] += M s, that is the block's row
-    times W, the scan's one Toeplitz level. The start states come first.
-    They obey s' = M^L s + e, where e is a block's end state from zero, and
-    a doubling carries them (the associative scan of a linear recurrence):
-    S holds (u, v) and then the e of every block but the last, and each
-    round d = 1, 2, 4, ... adds M^(L*d) S[i-d] to S[i] for i >= d, with
-    M^(L*2d) the square of M^(L*d) in Python floats. After the round for d,
-    S[i] sums the 2*d terms up to i, so ceil(log2(n_blocks)) rounds leave S
-    holding the start states. Only M's own W is built, so ``_toeplitz``
-    misses once per distinct M (test_a_cold_long_run_builds_w_once). M is
-    never diagonalised, so a defective M (critical damping) is no special
-    case.
+    past the run, for L = BLOCK; m = (m00, m01, m10, m11) holds M, and
+    (M^L)^T and the block-Toeplitz matrix W come from ``_toeplitz(m)``.
+    Seen as (n_blocks, 2 * L), each row of X is one block, and a block that
+    starts from state s runs as if from zero with M s added to its first
+    input: x[i] = sum_{j<=i} M^(i-j) f[j] with f[0] += M s, that is the
+    block's row times W, the scan's one Toeplitz level. The start states
+    come first. They obey s' = M^L s + e, where e is a block's end state
+    from zero, and a doubling carries them (the associative scan of a linear
+    recurrence): S holds (u, v) and then the e of every block but the last,
+    as rows, and each round d = 1, 2, 4, ... adds S[i-d] @ PT to S[i] for
+    i >= d, where PT = (M^(L*d))^T, and then takes (M^(L*2d))^T as
+    ``PT @ PT``. After the round for d, S[i] sums the 2*d terms up to i, so
+    ceil(log2(n_blocks)) rounds leave S holding the start states. Only M's
+    own W is built, so ``_toeplitz`` misses once per distinct M
+    (test_a_cold_long_run_builds_w_once). M is never diagonalised, so a
+    defective M (critical damping) is no special case.
 
     Only the blocks from first // CHUNK * CHUNK on become states; the rows
     before them keep their inputs. The states written are those of a scan
@@ -577,7 +595,7 @@ def _blocked_scan(m, X, u, v, first=0):
     (test_a_scan_from_a_later_block_writes_the_whole_scans_bits): the start
     is a whole chunk because OpenBLAS can give a row other bits at another
     place in a matmul. The bits follow the BLAS kernel, in the carry's
-    rounds as in the Toeplitz level.
+    rounds and squarings as in the Toeplitz level.
 
     Each chunk's matmul writes into the chunk it reads, which numpy's
     matmul allows by copying the overlapping input first. ``_loop_scan``
@@ -588,7 +606,7 @@ def _blocked_scan(m, X, u, v, first=0):
     of the trace's largest |state| of ``_loop_scan`` (TestScanKernel:
     test_matches_loop, test_matches_loop_across_levels, test_block_edges,
     test_high_q_long_trace, up to 100k steps). M^L carries the rounding of
-    its L products, and each squaring doubles the rounding already in
+    the loop's L products, and each squaring doubles the rounding already in
     M^(L*d), so the error grows with the run: on an undamped orbit at 16
     steps per cycle, free or driven, the states stay within
     n_steps * eps / 8 of the largest |state| of the exact recurrence on M's
@@ -596,14 +614,13 @@ def _blocked_scan(m, X, u, v, first=0):
     """
     n_blocks = len(X) // BLOCK
     F = X.reshape(n_blocks, 2 * BLOCK)  # a view, so the scan writes into X
-    (p00, p01, p10, p11), W = _toeplitz(m)  # the entries of M^(L*d), d = 1 here
+    PT, W = _toeplitz(m)  # (M^(L*d))^T, d = 1 here
     S = np.empty((n_blocks, 2))  # (u, v), then e of blocks 0..n_blocks-2; start states after
     S[0] = u, v
     np.matmul(F[:-1], W[:, -2:], out=S[1:])
     for d in (1 << r for r in range((n_blocks - 1).bit_length())):  # 1, 2, 4, ... < n_blocks
-        S[d:] += S[:-d] @ np.array(((p00, p10), (p01, p11)))  # the right side is read first
-        p00, p01, p10, p11 = (p00 * p00 + p01 * p10, p00 * p01 + p01 * p11,
-                              p10 * p00 + p11 * p10, p10 * p01 + p11 * p11)
+        S[d:] += S[:-d] @ PT  # the right side is read first
+        PT = PT @ PT
     start = first // CHUNK * CHUNK
     su, sv = S[start:, 0], S[start:, 1]
     m00, m01, m10, m11 = m

@@ -915,7 +915,7 @@ class TestExactReference:
 
 
 class TestPropagator:
-    """The cached (m, b) per (params, dt), and (mL, W) per M."""
+    """The cached (m, b) per (params, dt), and ((M^L)^T, W) per M."""
 
     def test_cold_cache_gives_the_same_bits_as_warm(self):
         p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
@@ -1004,7 +1004,8 @@ class TestPropagator:
         for _ in range(BLOCK):  # M @ (M^k), in the loop's order of operations
             a, b, c, d = (m00 * a + m01 * c, m00 * b + m01 * d,
                           m10 * a + m11 * c, m10 * b + m11 * d)
-        assert _toeplitz((m00, m01, m10, m11))[0] == (a, b, c, d)
+        # the carry multiplies state rows from the right, so it holds (M^L)^T
+        np.testing.assert_array_equal(_toeplitz((m00, m01, m10, m11))[0], [[a, c], [b, d]])
 
     @pytest.mark.parametrize("critical", [False, True])
     def test_w_rows_are_the_loops_response_to_a_unit_input(self, critical):
@@ -1026,9 +1027,10 @@ class TestPropagator:
 
     def test_cached_arrays_are_read_only(self):
         m, _ = _propagator(RafParams(omega_u=1.0, omega_v=2.0), 1e-3)
-        _, W = _toeplitz(m)
-        with pytest.raises(ValueError):
-            W[0, 0] = 1.0
+        PT, W = _toeplitz(m)
+        for array in (PT, W):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
 
 
 def simulated_response(p, frequency, amplitude, duration, steps_per_cycle=64):
@@ -1266,19 +1268,25 @@ class TestTypesAndValidation:
         inc = InputSignal(events=events).impulse_increments(dt, n_steps)
         np.testing.assert_array_equal(inc, ref)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"dense": [1.0, math.inf]},
-        {"dense": [1.0, math.nan]},
-        {"dense": [[1.0, 2.0], [3.0, 4.0]]},
-        {"events": [(math.nan, 1.0)]},
-        {"events": [(math.inf, 1.0)]},
-        {"events": [(0.0, math.inf)]},
-        {"events": [(0.0, math.nan)]},
-        {"events": [(0.0, 1.0, 2.0)]},
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"dense": [1.0, math.inf]}, "dense input must be finite"),
+        ({"dense": [1.0, math.nan]}, "dense input must be finite"),
+        ({"dense": [[1.0, 2.0], [3.0, 4.0]]}, "dense input must be 1-D, got shape (2, 2)"),
+        ({"events": [(math.nan, 1.0)]}, "event 0 (time, amplitude) must be finite"),
+        ({"events": [(math.inf, 1.0)]}, "event 0 (time, amplitude) must be finite"),
+        ({"events": [(0.0, math.inf)]}, "event 0 (time, amplitude) must be finite"),
+        ({"events": [(0.0, math.nan)]}, "event 0 (time, amplitude) must be finite"),
+        ({"events": [(0.0, 1.0, 2.0)]}, "an (N, 2) array, got shape (1, 3)"),
+        # neither a flat pair nor a (2, 1, 2) array is a list of (time, amplitude) rows
+        ({"events": np.array([1.0, 2.0])}, "an (N, 2) array, got shape (2,)"),
+        ({"events": np.zeros((2, 1, 2))}, "an (N, 2) array, got shape (2, 1, 2)"),
+        ({"events": [(0.0, 1.0), (1.0,)]}, "events must be (time, amplitude) rows of numbers"),
+        ({"events": [(0.0, 1j)]}, "events must be (time, amplitude) rows of numbers"),
     ], ids=["dense-inf", "dense-nan", "dense-2d", "time-nan", "time-inf",
-            "amplitude-inf", "amplitude-nan", "event-triple"])
-    def test_input_signal_rejects_non_finite_or_misshapen_input(self, kwargs):
-        with pytest.raises(ValueError):
+            "amplitude-inf", "amplitude-nan", "event-triple", "events-flat", "events-3d",
+            "events-ragged", "events-complex"])
+    def test_input_signal_rejects_non_finite_or_misshapen_input(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             InputSignal(**kwargs)
 
     def test_input_signal_copies_dense(self):
@@ -1338,6 +1346,30 @@ class TestTypesAndValidation:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(message)):
                 StateTrace(dt=1e-3, u=np.zeros(3), v=np.zeros(3), z=np.array(z))
+
+    @pytest.mark.parametrize("name, value", [
+        ("u", np.zeros((3, 2))),
+        ("v", np.zeros((1, 3))),
+        ("z", np.zeros((3, 1))),
+        ("u", np.float64(0.5)),
+        ("u", np.array(["a", "b", "c"])),
+        ("v", np.zeros(3, dtype=complex)),
+        ("z", np.array([0, 1, None])),
+    ], ids=["u-2d", "v-row", "z-column", "u-scalar", "u-strings", "v-complex", "z-object"])
+    def test_trace_rejects_a_misshapen_or_non_numeric_column(self, name, value):
+        # to_csv would write a 2-D row as a cell like [0.0, 0.0], which from_csv cannot read
+        columns = {"u": np.zeros(3), "v": np.zeros(3), "z": np.zeros(3, dtype=np.int8)}
+        columns[name] = value
+        message = f"trace {name} must be a 1-D array of numbers, got shape {value.shape} of "
+        with pytest.raises(ValueError, match=re.escape(message + str(value.dtype))):
+            StateTrace(dt=1e-3, **columns)
+
+    def test_trace_keeps_1d_float64_u_and_v_and_int8_z(self):
+        u = np.linspace(0.0, 1.0, 4)
+        trace = StateTrace(dt=1e-3, u=u, v=[0, 1, 2, 3], z=[True, False, 1, 0])
+        assert trace.u is u  # a float64 array is kept, not copied
+        assert (trace.v.dtype, trace.z.dtype) == (np.float64, np.int8)
+        assert (trace.v.tolist(), trace.z.tolist()) == ([0.0, 1.0, 2.0, 3.0], [1, 0, 1, 0])
 
     @pytest.mark.parametrize("lengths", [(3, 2, 3), (3, 3, 1), (2, 3, 3)])
     def test_trace_rejects_unequal_lengths(self, lengths):
