@@ -40,6 +40,7 @@ __all__ = [
 
 BLOCK = 32  # steps per block of simulate's scan
 CHUNK = 128  # blocks per matmul of simulate's scan
+ROUNDS = 48  # carry rounds whose powers _toeplitz holds: runs of up to 2**48 blocks
 
 
 class SimulationError(RuntimeError):
@@ -199,7 +200,8 @@ class StateTrace:
     Sample i holds the state after i+1 steps, at time t = (i+1)*dt. u and v
     are kept as 1-D float64 arrays, without a copy where they are already
     that, and z as a 1-D int8 array. A bad dt, a u, v or z that is not a 1-D
-    array of numbers (test_trace_rejects_a_misshapen_or_non_numeric_column),
+    array of numbers, a ragged one too, which the message names
+    (test_trace_rejects_a_misshapen_or_non_numeric_column),
     u, v and z empty or of unequal lengths, or a z other than 0 or 1
     (test_trace_rejects_a_z_other_than_0_or_1) raise ValueError.
     """
@@ -212,11 +214,17 @@ class StateTrace:
 
     def __post_init__(self):
         _check_positive("trace dt", self.dt)
-        u, v, z = (np.asarray(x) for x in (self.u, self.v, self.z))  # no copy of an array
-        for name, x in (("u", u), ("v", v), ("z", z)):
+        columns = []
+        for name in ("u", "v", "z"):
+            try:  # no copy of an array; a ragged column raises here
+                x = np.asarray(getattr(self, name))
+            except ValueError as e:
+                raise ValueError(f"trace {name} must be a 1-D array of numbers: {e}") from None
             if x.ndim != 1 or x.dtype.kind not in "biuf":
                 raise ValueError(f"trace {name} must be a 1-D array of numbers, "
                                  f"got shape {x.shape} of {x.dtype}")
+            columns.append(x)
+        u, v, z = columns
         if len(u) == 0:
             raise ValueError("trace must be nonempty")
         if not len(u) == len(v) == len(z):
@@ -417,7 +425,7 @@ def step(state: NeuronState, params: RafParams, input_increment: float,
     return new_state, bool(new_state.v >= params.theta)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=32)
 def _propagator(params: RafParams, dt: float):
     """(m, b) of params at step dt, cached; read by step and _run.
 
@@ -430,6 +438,12 @@ def _propagator(params: RafParams, dt: float):
     the same bits (test_cold_cache_gives_the_same_bits_as_warm). A
     non-finite M is kept, for _run to name the step where the state first
     leaves the finite range.
+
+    The cache holds 32 entries, a few hundred bytes each, so the 31 keys
+    that a resonance sweep cycles through, one dt per point above resonance
+    and one below, stay cached from one sweep to the next
+    (test_a_second_sweep_builds_no_b); an LRU cache smaller than the cycle
+    would miss on every key.
     """
     # b before M: the benchmark's tracer takes the last transition_terms span
     # of a run as M's own, directly under simulate
@@ -454,18 +468,27 @@ _W_INDEX = _w_index(BLOCK)
 
 @functools.lru_cache(maxsize=32)
 def _toeplitz(m):
-    """(M^L transposed, W) of the scan for the M with entries m, cached.
+    """(P, W) of the scan for the M with entries m, cached.
 
-    Both are the reference loop's response to a unit input: ``_loop_scan``
-    runs once per input component c on L + 1 zero inputs but a 1 on c at
-    step 0, from a zero state, so its states are R[k, c] = M^k e_c, the
-    powers multiplied out in the loop's own order of operations, for
-    L = BLOCK.
+    Both start from the reference loop's response to a unit input:
+    ``_loop_scan`` runs once per input component c on L + 1 zero inputs but
+    a 1 on c at step 0, from a zero state, so its states are
+    R[k, c] = M^k e_c, the powers multiplied out in the loop's own order of
+    operations, for L = BLOCK.
 
-    M^L transposed: the read-only 2x2 array R[L] = (M^L)^T
-        (test_carry_is_m_multiplied_out_block_times); it carries a block's
-        start state, a row, to the next block, and the scan's doubling
-        squares it.
+    P: the read-only (ROUNDS, 2, 2) array of the carry's powers,
+        P[r] = (M^(L*2**r))^T. P[0] = R[L] = (M^L)^T
+        (test_carry_is_m_multiplied_out_block_times), and each next power is
+        the matmul P[r + 1] = P[r] @ P[r] (test_powers_are_the_matmul_chain),
+        so the carry's round r reads P[r] with the bits its own squaring
+        would give. ROUNDS = 48 powers cover every run of up to 2**48
+        blocks, ceil(log2(n_blocks)) <= 48 rounds: the buffer of a longer
+        run, past 2**48 blocks of L (u, v) pairs, exceeds 2**57 bytes, the
+        whole virtual address space of x86-64 with five-level paging, so
+        numpy cannot allocate it. Powers that a short run never reads may
+        overflow, for a defective M with a large omega_v*dt, and are built
+        without a warning
+        (test_unused_powers_that_overflow_raise_no_warning).
     W: the read-only (2*L, 2*L) block-Toeplitz matrix of M^0..M^(L-1) in
         step-major order: W[2*j + c, 2*i + r] = M^(i-j)[r, c] carries input
         c at step j of a block to state r at step i, so row 2*j + c is the
@@ -477,7 +500,8 @@ def _toeplitz(m):
     The cache holds 32 entries, the most that a budget of 1 MiB of W allows
     at (2*L)**2 floats each (test_cache_holds_at_most_one_mib_of_w), so up
     to 32 distinct M, such as a sweep's, stay cached from one run to the next
-    (test_a_second_sweep_builds_no_w).
+    (test_a_second_sweep_builds_no_w), and a warm run squares no power. A
+    cold build runs the 47 squarings once per M.
     """
     L = BLOCK
     R = np.zeros((L + 1, 2, 2))
@@ -485,8 +509,13 @@ def _toeplitz(m):
     for c in (0, 1):
         _loop_scan(m, R[:, c], 0.0, 0.0)
     W = np.concatenate(([0.0], R.ravel()))[_W_INDEX]
-    W.flags.writeable = R.flags.writeable = False  # shared by every hit
-    return R[L], W
+    P = np.empty((ROUNDS, 2, 2))
+    P[0] = R[L]
+    with np.errstate(over="ignore", invalid="ignore"):  # _run handles a run that reads one
+        for r in range(ROUNDS - 1):
+            P[r + 1] = P[r] @ P[r]
+    W.flags.writeable = P.flags.writeable = False  # shared by every hit
+    return P, W
 
 
 def simulate(params: RafParams, input_signal: InputSignal, dt: float,
@@ -572,8 +601,9 @@ def _blocked_scan(m, X, u, v, first=0):
     """Turn X into the states of x[i] = M x[i-1] + X[i] from x[-1] = (u, v), in place.
 
     X is a C-ordered (n_blocks * L, 2) array of per-step (u, v) inputs, zero
-    past the run, for L = BLOCK; m = (m00, m01, m10, m11) holds M, and
-    (M^L)^T and the block-Toeplitz matrix W come from ``_toeplitz(m)``.
+    past the run, for L = BLOCK; m = (m00, m01, m10, m11) holds M, and the
+    powers P[r] = (M^(L*2**r))^T and the block-Toeplitz matrix W come from
+    ``_toeplitz(m)``.
     Seen as (n_blocks, 2 * L), each row of X is one block, and a block that
     starts from state s runs as if from zero with M s added to its first
     input: x[i] = sum_{j<=i} M^(i-j) f[j] with f[0] += M s, that is the
@@ -581,11 +611,15 @@ def _blocked_scan(m, X, u, v, first=0):
     come first. They obey s' = M^L s + e, where e is a block's end state
     from zero, and a doubling carries them (the associative scan of a linear
     recurrence): S holds (u, v) and then the e of every block but the last,
-    as rows, and each round d = 1, 2, 4, ... adds S[i-d] @ PT to S[i] for
-    i >= d, where PT = (M^(L*d))^T, and then takes (M^(L*2d))^T as
-    ``PT @ PT``. After the round for d, S[i] sums the 2*d terms up to i, so
-    ceil(log2(n_blocks)) rounds leave S holding the start states. Only M's
-    own W is built, so ``_toeplitz`` misses once per distinct M
+    as rows, and each round r, d = 2**r = 1, 2, 4, ..., adds S[i-d] @ P[r] to
+    S[i] for i >= d, where P[r] = (M^(L*d))^T. After the round for d, S[i]
+    sums the 2*d terms up to i, so ceil(log2(n_blocks)) rounds leave S
+    holding the start states. The rounds read the cached powers and square
+    nothing: their bits are those of a carry that squares P[r] @ P[r]
+    inline (test_the_carry_equals_a_doubling_that_squares_inline). A run of
+    more than 2**ROUNDS blocks has no power for its last round and raises
+    IndexError (test_a_run_past_the_powers_fails_loudly). Only M's own P
+    and W are built, so ``_toeplitz`` misses once per distinct M
     (test_a_cold_long_run_builds_w_once). M is never diagonalised, so a
     defective M (critical damping) is no special case.
 
@@ -595,32 +629,32 @@ def _blocked_scan(m, X, u, v, first=0):
     (test_a_scan_from_a_later_block_writes_the_whole_scans_bits): the start
     is a whole chunk because OpenBLAS can give a row other bits at another
     place in a matmul. The bits follow the BLAS kernel, in the carry's
-    rounds and squarings as in the Toeplitz level.
+    rounds and P's squarings as in the Toeplitz level.
 
     Each chunk's matmul writes into the chunk it reads, which numpy's
     matmul allows by copying the overlapping input first. ``_loop_scan``
     keeps this contract, on the run's rows, with one plain step per row.
 
     Precision: the bounds cover the whole scan, the Toeplitz level's sums
-    and the carry's rounds and squarings together. Within SCAN_RTOL = 1e-12
-    of the trace's largest |state| of ``_loop_scan`` (TestScanKernel:
+    and the carry's rounds and P's squarings together. Within SCAN_RTOL =
+    1e-12 of the trace's largest |state| of ``_loop_scan`` (TestScanKernel:
     test_matches_loop, test_matches_loop_across_levels, test_block_edges,
     test_high_q_long_trace, up to 100k steps). M^L carries the rounding of
-    the loop's L products, and each squaring doubles the rounding already in
-    M^(L*d), so the error grows with the run: on an undamped orbit at 16
-    steps per cycle, free or driven, the states stay within
+    the loop's L products, and each squaring in P doubles the rounding
+    already in M^(L*d), so the error grows with the run: on an undamped
+    orbit at 16 steps per cycle, free or driven, the states stay within
     n_steps * eps / 8 of the largest |state| of the exact recurrence on M's
     float entries (test_scan_against_the_exact_recurrence, up to 300k steps).
     """
     n_blocks = len(X) // BLOCK
     F = X.reshape(n_blocks, 2 * BLOCK)  # a view, so the scan writes into X
-    PT, W = _toeplitz(m)  # (M^(L*d))^T, d = 1 here
+    P, W = _toeplitz(m)  # P[r] = (M^(L*2**r))^T
     S = np.empty((n_blocks, 2))  # (u, v), then e of blocks 0..n_blocks-2; start states after
     S[0] = u, v
     np.matmul(F[:-1], W[:, -2:], out=S[1:])
-    for d in (1 << r for r in range((n_blocks - 1).bit_length())):  # 1, 2, 4, ... < n_blocks
-        S[d:] += S[:-d] @ PT  # the right side is read first
-        PT = PT @ PT
+    for r in range((n_blocks - 1).bit_length()):  # d = 2**r = 1, 2, 4, ... < n_blocks
+        d = 1 << r
+        S[d:] += S[:-d] @ P[r]  # the right side is read first
     start = first // CHUNK * CHUNK
     su, sv = S[start:, 0], S[start:, 1]
     m00, m01, m10, m11 = m

@@ -27,6 +27,7 @@ import rafsim
 from rafsim.core import (
     BLOCK,
     CHUNK,
+    ROUNDS,
     InputSignal,
     NeuronState,
     RafParams,
@@ -915,7 +916,7 @@ class TestExactReference:
 
 
 class TestPropagator:
-    """The cached (m, b) per (params, dt), and ((M^L)^T, W) per M."""
+    """The cached (m, b) per (params, dt), and (P, W) per M."""
 
     def test_cold_cache_gives_the_same_bits_as_warm(self):
         p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
@@ -988,6 +989,17 @@ class TestPropagator:
         assert [resonance_response(p, f, 1.0, 0.02) for f in freqs] == first
         assert _toeplitz.cache_info().misses == len(freqs)
 
+    def test_a_second_sweep_builds_no_b(self):
+        # the same 31 points, each with a dt of its own, as many keys as the
+        # benchmark's sweep cycles through: all of their (m, b) stay cached
+        p = RafParams(omega_u=TWO_PI * 200, omega_v=TWO_PI * 200, tau_u=0.05, tau_v=0.05)
+        freqs = [200.0 * 1.05**k for k in range(1, 32)]
+        _propagator.cache_clear()
+        first = [resonance_response(p, f, 1.0, 0.02) for f in freqs]
+        assert _propagator.cache_info().misses == len(freqs)
+        assert [resonance_response(p, f, 1.0, 0.02) for f in freqs] == first
+        assert _propagator.cache_info().misses == len(freqs)
+
     def test_b_is_input_vector_bit_for_bit(self):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 110, tau_u=3e-3, tau_v=0.3,
                       theta=0.25)
@@ -1004,8 +1016,85 @@ class TestPropagator:
         for _ in range(BLOCK):  # M @ (M^k), in the loop's order of operations
             a, b, c, d = (m00 * a + m01 * c, m00 * b + m01 * d,
                           m10 * a + m11 * c, m10 * b + m11 * d)
-        # the carry multiplies state rows from the right, so it holds (M^L)^T
-        np.testing.assert_array_equal(_toeplitz((m00, m01, m10, m11))[0], [[a, c], [b, d]])
+        # the carry multiplies state rows from the right, so P[0] holds (M^L)^T
+        P, _ = _toeplitz((m00, m01, m10, m11))
+        assert P[0].tobytes() == np.array([[a, c], [b, d]]).tobytes()
+
+    @pytest.mark.parametrize("critical", [False, True])
+    def test_powers_are_the_matmul_chain(self, critical):
+        # P[r] = (M^(L*2**r))^T is P[0] squared r times with @, the squaring
+        # the carry would run inline, so every round reads the bits it would make
+        if critical:
+            p, dt = critical_params(TWO_PI * 377.0), 1e-4
+        else:
+            p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
+            dt = 1.0 / (64 * 250)
+        P, _ = _toeplitz(_propagator(p, dt)[0])
+        assert P.shape == (ROUNDS, 2, 2)
+        PT = P[0].copy()
+        for r in range(ROUNDS):
+            assert P[r].tobytes() == PT.tobytes(), r
+            PT = PT @ PT
+
+    # one block and two, 2**k blocks and one more, so the last round sums
+    # whole halves or adds one block; 512 blocks span four chunks
+    @pytest.mark.parametrize("n_blocks", [1, 2, 64, 65, 512, 513])
+    def test_the_carry_equals_a_doubling_that_squares_inline(self, n_blocks):
+        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.08, tau_v=0.08)
+        m, _ = _propagator(p, 1.0 / 6400)
+        inputs = np.random.default_rng(n_blocks).normal(size=(n_blocks * BLOCK, 2))
+        X = inputs.copy()
+        _blocked_scan(m, X, 0.1, -0.2)
+        # in place on inputs: the carry with (M^L)^T squared in each round,
+        # then the same Toeplitz level
+        P, W = _toeplitz(m)
+        F = inputs.reshape(n_blocks, 2 * BLOCK)
+        S = np.empty((n_blocks, 2))
+        S[0] = 0.1, -0.2
+        np.matmul(F[:-1], W[:, -2:], out=S[1:])
+        PT, d = P[0], 1
+        while d < n_blocks:
+            S[d:] += S[:-d] @ PT
+            PT, d = PT @ PT, 2 * d
+        m00, m01, m10, m11 = m
+        F[:, 0] += m00 * S[:, 0] + m01 * S[:, 1]
+        F[:, 1] += m10 * S[:, 0] + m11 * S[:, 1]
+        for i in range(0, n_blocks, CHUNK):
+            np.matmul(F[i:i + CHUNK], W, out=F[i:i + CHUNK])
+        assert X.tobytes() == inputs.tobytes()
+
+    def test_a_run_past_the_powers_fails_loudly(self, monkeypatch):
+        # a run of 2**r blocks needs r rounds, and one more block another
+        # round; with only 2 powers, 4 blocks run and 5 raise
+        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.08, tau_v=0.08)
+        m, _ = _propagator(p, 1.0 / 6400)
+        P, W = _toeplitz(m)
+        inputs = np.random.default_rng(8).normal(size=(5 * BLOCK, 2))
+        whole = inputs.copy()
+        _blocked_scan(m, whole[:4 * BLOCK], 0.1, -0.2)
+        monkeypatch.setattr(rafsim.core, "_toeplitz", lambda m: (P[:2], W))
+        X = inputs.copy()
+        _blocked_scan(m, X[:4 * BLOCK], 0.1, -0.2)
+        assert X.tobytes() == whole.tobytes()
+        with pytest.raises(IndexError):
+            _blocked_scan(m, inputs.copy(), 0.1, -0.2)
+
+    def test_unused_powers_that_overflow_raise_no_warning(self):
+        # M = [[1, -1e300], [0, 1]] is defective, and its powers grow by
+        # 32 * 2**r * 1e300: P[23] overflows, and P[24] holds inf * 0 = NaN
+        p = RafParams(omega_u=0.0, omega_v=1e300)
+        m, _ = _propagator(p, 1.0)
+        assert m == (1.0, -1e300, 0.0, 1.0)
+        _toeplitz.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P, _ = _toeplitz(m)
+        assert np.isfinite(P[:23]).all() and not np.isfinite(P[23:]).all(axis=(1, 2)).any()
+        # a short run reads only finite powers and gives the loop's states
+        assert_matches_loop(p, InputSignal(), 1.0, 4 * BLOCK, NeuronState(0.0, 1e-300))
+        # and where u = -n * 1e308 overflows at step 1, the loop's error
+        with pytest.raises(SimulationError, match="at step 1 "):
+            simulate(p, InputSignal(), 1.0, 4 * BLOCK, initial_state=NeuronState(0.0, 1e8))
 
     @pytest.mark.parametrize("critical", [False, True])
     def test_w_rows_are_the_loops_response_to_a_unit_input(self, critical):
@@ -1027,8 +1116,8 @@ class TestPropagator:
 
     def test_cached_arrays_are_read_only(self):
         m, _ = _propagator(RafParams(omega_u=1.0, omega_v=2.0), 1e-3)
-        PT, W = _toeplitz(m)
-        for array in (PT, W):
+        P, W = _toeplitz(m)
+        for array in (P, W):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
 
@@ -1355,13 +1444,19 @@ class TestTypesAndValidation:
         ("u", np.array(["a", "b", "c"])),
         ("v", np.zeros(3, dtype=complex)),
         ("z", np.array([0, 1, None])),
-    ], ids=["u-2d", "v-row", "z-column", "u-scalar", "u-strings", "v-complex", "z-object"])
+        ("u", [[1.0, 2.0], [3.0]]),
+    ], ids=["u-2d", "v-row", "z-column", "u-scalar", "u-strings", "v-complex", "z-object",
+            "u-ragged"])
     def test_trace_rejects_a_misshapen_or_non_numeric_column(self, name, value):
         # to_csv would write a 2-D row as a cell like [0.0, 0.0], which from_csv cannot read
         columns = {"u": np.zeros(3), "v": np.zeros(3), "z": np.zeros(3, dtype=np.int8)}
         columns[name] = value
-        message = f"trace {name} must be a 1-D array of numbers, got shape {value.shape} of "
-        with pytest.raises(ValueError, match=re.escape(message + str(value.dtype))):
+        message = f"trace {name} must be a 1-D array of numbers"
+        if isinstance(value, list):  # ragged: numpy's reason follows
+            message += ": "
+        else:
+            message += f", got shape {value.shape} of {value.dtype}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             StateTrace(dt=1e-3, **columns)
 
     def test_trace_keeps_1d_float64_u_and_v_and_int8_z(self):
