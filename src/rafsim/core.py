@@ -71,6 +71,9 @@ class RafParams:
     tau_u, tau_v: decay time constants (s), > 0 with a finite reciprocal;
         math.inf means no decay.
     theta: spike threshold on the v state (state units), finite.
+
+    A value that is not a real number, such as a str, None or a complex, is
+    named too (test_params_name_a_value_that_is_not_a_real_number).
     """
 
     omega_u: float
@@ -80,6 +83,12 @@ class RafParams:
     theta: float = 1.0
 
     def __post_init__(self):
+        for name in ("omega_u", "omega_v", "tau_u", "tau_v", "theta"):
+            value = getattr(self, name)
+            try:  # the checks below would raise a TypeError that does not name it
+                math.isfinite(value)
+            except TypeError:
+                raise ValueError(f"{name} must be a real number, got {value!r}") from None
         for name in ("omega_u", "omega_v"):
             w = getattr(self, name)
             if not (w >= 0.0 and math.isfinite(w)):
@@ -134,12 +143,16 @@ class InputSignal:
     Every time, amplitude and current must be finite, and times >= 0, or
     ValueError is raised, naming the first bad event if an event is bad.
     events that are not real numbers, ragged, or not empty and not shaped
-    (N, 2), and a dense input that is not 1-D, raise ValueError naming
-    events or dense (test_input_signal_rejects_non_finite_or_misshapen_input).
+    (N, 2), and a dense input that is not real numbers, ragged or not 1-D,
+    raise ValueError naming events or dense
+    (test_input_signal_rejects_non_finite_or_misshapen_input).
     """
 
     def __init__(self, dense=None, events=None):
-        self.dense = None if dense is None else np.array(dense, dtype=float)  # a copy
+        try:  # ragged rows and values that are not real numbers raise here
+            self.dense = None if dense is None else np.array(dense, dtype=float)  # a copy
+        except (ValueError, TypeError) as e:
+            raise ValueError(f"dense input must be a 1-D array of numbers: {e}") from None
         if self.dense is not None:
             if self.dense.ndim != 1:
                 raise ValueError(f"dense input must be 1-D, got shape {self.dense.shape}")
@@ -255,17 +268,15 @@ class StateTrace:
     def from_csv(cls, path) -> "StateTrace":
         """Read what to_csv writes: u, v and z bit for bit, and dt exactly.
 
-        t = (i+1)*dt, so dt = t[1] - t[0] = 2*dt - dt is exact (Sterbenz),
-        and a one-row file gives dt = t[0] (test_trace_csv_roundtrip,
-        test_trace_csv_roundtrip_one_row). A file with no rows
-        (test_trace_csv_without_rows_is_an_error), with a column count other
-        than 4, with a z other than 0 or 1
+        to_csv writes t[0] = 1*dt, so dt = t[0] (test_trace_csv_roundtrip,
+        test_trace_csv_roundtrip_one_row), and every t it writes is (i+1)*dt
+        exactly. A file with no rows (test_trace_csv_without_rows_is_an_error),
+        with a column count other than 4, with a z other than 0 or 1
         (test_trace_csv_with_a_bad_column_is_an_error), with a t other than
-        (i+1)*dt for that dt or with a dt that is not finite and > 0
-        (test_trace_csv_with_a_t_off_the_grid_is_an_error) raises ValueError
-        naming the file; StateTrace checks z and dt. Every t that to_csv
-        writes is that product exactly. u and v are read as written,
-        non-finite too, as StateTrace takes them.
+        (i+1)*dt for that dt, named at its sample, or with a dt that is not
+        finite and > 0 (test_trace_csv_with_a_t_off_the_grid_is_an_error)
+        raises ValueError naming the file; StateTrace checks z and dt. u and v
+        are read as written, non-finite too, as StateTrace takes them.
         """
         with warnings.catch_warnings():  # a file without rows raises below instead
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -277,7 +288,7 @@ class StateTrace:
                              f"expected 4 (t, u, v, z)")
         t, u, v, z = rows.T
         try:  # StateTrace checks dt and z first; its messages name the trace, these the file
-            trace = cls(dt=float(t[0] if len(t) == 1 else t[1] - t[0]), u=u, v=v, z=z)
+            trace = cls(dt=float(t[0]), u=u, v=v, z=z)
         except ValueError as e:
             raise ValueError(f"trace file {str(path)!r}{str(e).removeprefix('trace')}") from None
         bad = np.flatnonzero(t != trace.times)  # NaN too
@@ -354,10 +365,14 @@ def input_vector(params: RafParams, dt: float) -> np.ndarray:
     matrix-vector products give b the rounding of the BLAS kernel that runs
     them.
 
-    Precision: for n <= 7, within (4 + 4*n) eps of the largest |b| at the
-    steps dt / 2**j, j <= n, of the series summed exactly and rounded once
-    (test_matches_the_exact_series): b at dt itself cancels towards 0 where
-    dt is near whole cycles. Within 1e-7 relative of quadrature
+    Precision: within max(4 + 4*n, max|A|*dt / 2) eps of the largest |b|
+    at the steps dt / 2**j, j <= n, of the series summed exactly and rounded
+    once (test_matches_the_exact_series, n <= 11): b at dt itself cancels
+    towards 0 where dt is near whole cycles. max|A|*dt <= 2**(n - 1), so the
+    bound is (4 + 4*n) eps up to n = 7. Past that, the term in max|A|*dt
+    grows faster: it is the rounding of the phase om*h_i inside
+    transition_terms, about eps*om*h_i at each doubling, which sums to
+    about eps*om*dt. Within 1e-7 relative of quadrature
     (test_matches_quadrature) and of A^-1 (exp(A*dt) - I) e1
     (test_matches_resolvent_formula).
 
@@ -431,7 +446,9 @@ def _propagator(params: RafParams, dt: float):
 
     m = (m00, m01, m10, m11) = transition_terms(...) holds M = exp(A*dt),
     and b = (b0, b1) = input_vector(params, dt) bit for bit
-    (test_b_is_input_vector_bit_for_bit); input_vector checks dt. The key
+    (test_b_is_input_vector_bit_for_bit). A bad dt raises ValueError before
+    either is built: transition_terms would take a negative one, and can
+    overflow on it (test_every_entry_point_rejects_bad_dt). The key
     is the caller's params, so an error raised while building names them
     (test_errors_name_the_callers_params), and dt one ulp apart do not
     share (test_dt_one_ulp_apart_do_not_share). Warm and cold caches give
@@ -445,11 +462,9 @@ def _propagator(params: RafParams, dt: float):
     (test_a_second_sweep_builds_no_b); an LRU cache smaller than the cycle
     would miss on every key.
     """
-    # b before M: the benchmark's tracer takes the last transition_terms span
-    # of a run as M's own, directly under simulate
-    b = tuple(input_vector(params, dt).tolist())
-    m = transition_terms(params.omega_u, params.omega_v, params.k_u, params.k_v, dt)
-    return m, b
+    _check_positive("dt", dt)
+    return (transition_terms(params.omega_u, params.omega_v, params.k_u, params.k_v, dt),
+            tuple(input_vector(params, dt).tolist()))
 
 
 def _w_index(L):
@@ -476,19 +491,20 @@ def _toeplitz(m):
     R[k, c] = M^k e_c, the powers multiplied out in the loop's own order of
     operations, for L = BLOCK.
 
-    P: the read-only (ROUNDS, 2, 2) array of the carry's powers,
-        P[r] = (M^(L*2**r))^T. P[0] = R[L] = (M^L)^T
-        (test_carry_is_m_multiplied_out_block_times), and each next power is
-        the matmul P[r + 1] = P[r] @ P[r] (test_powers_are_the_matmul_chain),
-        so the carry's round r reads P[r] with the bits its own squaring
-        would give. ROUNDS = 48 powers cover every run of up to 2**48
-        blocks, ceil(log2(n_blocks)) <= 48 rounds: the buffer of a longer
-        run, past 2**48 blocks of L (u, v) pairs, exceeds 2**57 bytes, the
-        whole virtual address space of x86-64 with five-level paging, so
-        numpy cannot allocate it. Powers that a short run never reads may
-        overflow, for a defective M with a large omega_v*dt, and are built
-        without a warning
-        (test_unused_powers_that_overflow_raise_no_warning).
+    P: the read-only (ROUNDS, 2, 2) array of the powers that
+        ``_blocked_scan``'s carry reads, P[r] = (M^(L*2**r))^T in round r.
+        P[0] = R[L] = (M^L)^T (test_carry_is_m_multiplied_out_block_times),
+        and each next power is the matmul P[r + 1] = P[r] @ P[r]
+        (test_powers_are_the_matmul_chain), so round r reads P[r] with the
+        bits its own squaring would give. ROUNDS = 48 powers cover every run
+        of up to 2**48 blocks, ceil(log2(n_blocks)) <= 48 rounds, and a
+        longer run raises IndexError in its last round
+        (test_a_run_past_the_powers_fails_loudly). No such run fits in
+        memory: its buffer, past 2**48 blocks of L (u, v) pairs, exceeds
+        2**57 bytes, the whole virtual address space of x86-64 with
+        five-level paging. Powers that a short run never reads may overflow,
+        for a defective M with a large omega_v*dt, and are built without a
+        warning (test_unused_powers_that_overflow_raise_no_warning).
     W: the read-only (2*L, 2*L) block-Toeplitz matrix of M^0..M^(L-1) in
         step-major order: W[2*j + c, 2*i + r] = M^(i-j)[r, c] carries input
         c at step j of a block to state r at step i, so row 2*j + c is the
@@ -532,7 +548,6 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     repeats bit for bit on one libm and one BLAS kernel.
     """
     _check_count("n_steps", n_steps)
-    _check_positive("dt", dt)  # here too: a dense-only run never calls impulse_increments
     currents = input_signal.dense
     if currents is not None and len(currents) != n_steps:
         raise ValueError(f"dense input has {len(currents)} samples, expected {n_steps}")
@@ -543,14 +558,15 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
 
 
 def _run(params, dt, n_steps, currents, increments, state=NeuronState(), first=0):
-    """The (n_steps, 2) states (u, v) of a run from state: simulate's and resonance_response's.
+    """The (n_steps - first, 2) states (u, v) from step first on of a run from state.
 
-    currents (state units / s, held over each step) and increments (impulses
-    added to u) are per-step arrays of n_steps values, or None for none.
-    M and b come from ``_propagator``, which checks dt. The inputs go into
-    one padded buffer (``_forcing``), and ``_blocked_scan`` turns them into
-    states in place from the chunk holding step first on; only the states
-    from step first on are meant to be read.
+    simulate reads every step of its run (first = 0), and resonance_response
+    only its steady window. currents (state units / s, held over each step)
+    and increments (impulses added to u) are per-step arrays of n_steps
+    values, or None for none. M and b come from ``_propagator``, which checks
+    dt. The inputs go into one padded buffer (``_forcing``), and
+    ``_blocked_scan`` turns them into states in place from the chunk holding
+    step first on.
 
     Repair: those states are checked once. If one is not finite, the
     inputs are written anew and ``_loop_scan``, the scan's contract with
@@ -576,7 +592,7 @@ def _run(params, dt, n_steps, currents, increments, state=NeuronState(), first=0
             if not finite.all():
                 raise SimulationError(f"non-finite state at step {int(np.argmin(finite))} "
                                       f"with {params!r}, dt={dt!r}")
-    return X[:n_steps]
+    return X[first:n_steps]
 
 
 def _forcing(b, currents, increments, out):
@@ -601,9 +617,9 @@ def _blocked_scan(m, X, u, v, first=0):
     """Turn X into the states of x[i] = M x[i-1] + X[i] from x[-1] = (u, v), in place.
 
     X is a C-ordered (n_blocks * L, 2) array of per-step (u, v) inputs, zero
-    past the run, for L = BLOCK; m = (m00, m01, m10, m11) holds M, and the
-    powers P[r] = (M^(L*2**r))^T and the block-Toeplitz matrix W come from
-    ``_toeplitz(m)``.
+    past the run, for L = BLOCK; m = (m00, m01, m10, m11) holds M, and
+    ``_toeplitz(m)`` gives the carry's powers P, with the runs they cover,
+    and the block-Toeplitz matrix W.
     Seen as (n_blocks, 2 * L), each row of X is one block, and a block that
     starts from state s runs as if from zero with M s added to its first
     input: x[i] = sum_{j<=i} M^(i-j) f[j] with f[0] += M s, that is the
@@ -611,14 +627,12 @@ def _blocked_scan(m, X, u, v, first=0):
     come first. They obey s' = M^L s + e, where e is a block's end state
     from zero, and a doubling carries them (the associative scan of a linear
     recurrence): S holds (u, v) and then the e of every block but the last,
-    as rows, and each round r, d = 2**r = 1, 2, 4, ..., adds S[i-d] @ P[r] to
-    S[i] for i >= d, where P[r] = (M^(L*d))^T. After the round for d, S[i]
-    sums the 2*d terms up to i, so ceil(log2(n_blocks)) rounds leave S
+    as rows, and each round r, d = 2**r = 1, 2, 4, ..., adds S[i-d] @ P[r],
+    M^(L*d) applied to S[i-d], to S[i] for i >= d. After the round for d,
+    S[i] sums the 2*d terms up to i, so ceil(log2(n_blocks)) rounds leave S
     holding the start states. The rounds read the cached powers and square
-    nothing: their bits are those of a carry that squares P[r] @ P[r]
-    inline (test_the_carry_equals_a_doubling_that_squares_inline). A run of
-    more than 2**ROUNDS blocks has no power for its last round and raises
-    IndexError (test_a_run_past_the_powers_fails_loudly). Only M's own P
+    nothing: their bits are those of a carry that squares P[r] @ P[r] inline
+    (test_the_carry_equals_a_doubling_that_squares_inline). Only M's own P
     and W are built, so ``_toeplitz`` misses once per distinct M
     (test_a_cold_long_run_builds_w_once). M is never diagonalised, so a
     defective M (critical damping) is no special case.
@@ -648,7 +662,7 @@ def _blocked_scan(m, X, u, v, first=0):
     """
     n_blocks = len(X) // BLOCK
     F = X.reshape(n_blocks, 2 * BLOCK)  # a view, so the scan writes into X
-    P, W = _toeplitz(m)  # P[r] = (M^(L*2**r))^T
+    P, W = _toeplitz(m)
     S = np.empty((n_blocks, 2))  # (u, v), then e of blocks 0..n_blocks-2; start states after
     S[0] = u, v
     np.matmul(F[:-1], W[:, -2:], out=S[1:])
@@ -702,9 +716,10 @@ def resonance_response(params: RafParams, drive_frequency: float,
 
     The result is max|v| over simulate's trace from step int(0.6*n_steps)
     on, bit for bit (test_equals_the_peak_of_simulates_window_bit_for_bit).
-    The run takes simulate's ``_run`` with the drive as its currents and
-    scans only the chunks that hold the window. A non-finite state in the
-    window raises simulate's SimulationError
+    The run takes simulate's ``_run`` with the drive as its currents, which
+    scans only the chunks that hold the window and returns the window's
+    states alone. A non-finite state in the window raises simulate's
+    SimulationError
     (test_an_overflowing_drive_raises_simulates_error).
 
     Each argument is checked at entry, and a bad one raises ValueError
@@ -733,7 +748,7 @@ def resonance_response(params: RafParams, drive_frequency: float,
                          f"{n_steps} steps of dt = {dt!r}")
     drive = _sine_drive(drive_frequency, drive_amplitude, dt, n_steps)
     first = int(0.6 * n_steps)  # the steady window's first step
-    steady = _run(params, dt, n_steps, drive, None, first=first)[first:, 1]
+    steady = _run(params, dt, n_steps, drive, None, first=first)[:, 1]
     return float(np.abs(steady).max())
 
 

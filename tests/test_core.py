@@ -250,7 +250,8 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError):
             transition_matrix(p, -1e-3)
 
-    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+    # transition_terms overflows on dt = -100 at this tau_u, so the check must come first
+    @pytest.mark.parametrize("dt", [0.0, -0.1, -100.0, math.nan, math.inf])
     def test_every_entry_point_rejects_bad_dt(self, dt):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.05)
         match = "dt must be finite and > 0"
@@ -331,16 +332,19 @@ class TestInputVector:
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(raf_params(), st.floats(TWO_PI * 10, TWO_PI * 1e5).map(critical_params)),
-           st.integers(0, 7), st.floats(0.55, 0.95))
+           st.integers(0, 11), st.floats(0.55, 0.95))
     @example(RafParams(omega_u=TWO_PI * 5.5, omega_v=TWO_PI * 22.0), 7, 0.55)  # skewed and undamped
+    # the largest error found at 11 halvings: 313 eps against a bound of 384
+    @example(RafParams(omega_u=286208.1503954557, omega_v=263443.29527349357), 11, 0.75)
     def test_matches_the_exact_series(self, p, halvings, frac):
         # max|A|*dt = frac * 2**(halvings - 1), so input_vector halves dt that many
         # times. The scale is the largest b of the halved steps, since b at dt
         # cancels towards 0 where dt is near whole cycles, and its halves do not.
-        dt = frac * 2.0**(halvings - 1) / float(np.abs(a_matrix(p)).max())
+        a_dt = frac * 2.0**(halvings - 1)  # max|A|*dt
+        dt = a_dt / float(np.abs(a_matrix(p)).max())
         scale = max(np.abs(exact_series_b(p, dt / 2**j)).max() for j in range(halvings + 1))
         err = np.abs(input_vector(p, dt) - exact_series_b(p, dt)).max()
-        assert err <= (4 + 4 * halvings) * np.finfo(float).eps * scale
+        assert err <= max(4 + 4 * halvings, a_dt / 2) * np.finfo(float).eps * scale
 
     @settings(max_examples=60, deadline=None)
     @given(raf_params(), st.floats(1e-5, 5e-3))
@@ -1282,6 +1286,22 @@ class TestTypesAndValidation:
             RafParams(omega_u=1.0, omega_v=1.0, theta=math.inf)
         p = RafParams(omega_u=1.0, omega_v=1.0, tau_u=math.inf)
         assert p.k_u == 0.0
+        # numpy scalars and ints are real numbers
+        p = RafParams(np.float32(2.0), 3, tau_v=np.float64(0.5), theta=np.int64(2))
+        assert (p.k_u, p.k_v, p.theta) == (0.0, 2.0, 2)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"omega_u": "a"}, "omega_u"),
+        ({"omega_v": 1j}, "omega_v"),
+        ({"tau_u": "x"}, "tau_u"),
+        ({"tau_v": [1.0, 2.0]}, "tau_v"),
+        ({"theta": None}, "theta"),
+    ], ids=["omega_u-str", "omega_v-complex", "tau_u-str", "tau_v-list", "theta-none"])
+    def test_params_name_a_value_that_is_not_a_real_number(self, kwargs, name):
+        values = {"omega_u": 1.0, "omega_v": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a real number, "
+                                                       f"got {kwargs[name]!r}")):
+            RafParams(**values)
 
     @pytest.mark.parametrize("name, tau", [("tau_u", 5e-324), ("tau_v", 5e-324),
                                            ("tau_u", 5.56e-309)])
@@ -1361,6 +1381,9 @@ class TestTypesAndValidation:
         ({"dense": [1.0, math.inf]}, "dense input must be finite"),
         ({"dense": [1.0, math.nan]}, "dense input must be finite"),
         ({"dense": [[1.0, 2.0], [3.0, 4.0]]}, "dense input must be 1-D, got shape (2, 2)"),
+        ({"dense": [[1.0, 2.0], [3.0]]}, "dense input must be a 1-D array of numbers"),
+        ({"dense": ["a", "b"]}, "dense input must be a 1-D array of numbers"),
+        ({"dense": [1.0, 1j]}, "dense input must be a 1-D array of numbers"),
         ({"events": [(math.nan, 1.0)]}, "event 0 (time, amplitude) must be finite"),
         ({"events": [(math.inf, 1.0)]}, "event 0 (time, amplitude) must be finite"),
         ({"events": [(0.0, math.inf)]}, "event 0 (time, amplitude) must be finite"),
@@ -1371,9 +1394,9 @@ class TestTypesAndValidation:
         ({"events": np.zeros((2, 1, 2))}, "an (N, 2) array, got shape (2, 1, 2)"),
         ({"events": [(0.0, 1.0), (1.0,)]}, "events must be (time, amplitude) rows of numbers"),
         ({"events": [(0.0, 1j)]}, "events must be (time, amplitude) rows of numbers"),
-    ], ids=["dense-inf", "dense-nan", "dense-2d", "time-nan", "time-inf",
-            "amplitude-inf", "amplitude-nan", "event-triple", "events-flat", "events-3d",
-            "events-ragged", "events-complex"])
+    ], ids=["dense-inf", "dense-nan", "dense-2d", "dense-ragged", "dense-str", "dense-complex",
+            "time-nan", "time-inf", "amplitude-inf", "amplitude-nan", "event-triple",
+            "events-flat", "events-3d", "events-ragged", "events-complex"])
     def test_input_signal_rejects_non_finite_or_misshapen_input(self, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             InputSignal(**kwargs)
@@ -1518,14 +1541,17 @@ class TestTypesAndValidation:
          "has t = 0.75 at sample 3, expected (i+1)*dt = 1.0"),
         (["0.25,0.5,-0.5,0", "0.5,0.25,0.5,1", "nan,0.0,1.5,1"],
          "has t = nan at sample 2, expected (i+1)*dt = 0.75"),
+        # dt is t[0], so the sample named is the one off the grid
+        (["0.1,0.5,-0.5,0", "0.3,0.25,0.5,1"],
+         "has t = 0.3 at sample 1, expected (i+1)*dt = 0.2"),
         # a t grid whose dt is not finite and > 0
         (["0.0,0.5,-0.5,0", "0.0,0.25,0.5,1"], "dt must be finite and > 0, got 0.0"),
         (["-0.5,0.5,-0.5,0", "-1.0,0.25,0.5,1"], "dt must be finite and > 0, got -0.5"),
         (["0.0,0.5,-0.5,0"], "dt must be finite and > 0, got 0.0"),
         (["-1.0,0.5,-0.5,0"], "dt must be finite and > 0, got -1.0"),
         (["inf,0.5,-0.5,0"], "dt must be finite and > 0, got inf"),
-    ], ids=["t_jumps", "t_repeats", "t_nan", "dt_zero", "dt_negative", "one_row_t_zero",
-            "one_row_t_negative", "one_row_t_inf"])
+    ], ids=["t_jumps", "t_repeats", "t_nan", "t_skips_a_step", "dt_zero", "dt_negative",
+            "one_row_t_zero", "one_row_t_negative", "one_row_t_inf"])
     def test_trace_csv_with_a_t_off_the_grid_is_an_error(self, tmp_path, rows, message):
         path = tmp_path / "trace.csv"
         path.write_text("t,u,v,z\n" + "".join(row + "\n" for row in rows))
