@@ -47,14 +47,60 @@ class SimulationError(RuntimeError):
     """Numerical failure during simulation (non-finite state, divergence)."""
 
 
+def _as_float(name, value):
+    """value as a Python float: the one way a number enters this module.
+
+    Every scalar that a caller hands in, a parameter, a state, a dt or an
+    input, passes here where it enters and is used from then on as the float
+    returned, so a numpy scalar, an int, a bool or a Fraction, any
+    numbers.Real, computes as the float it converts to
+    (test_float32_and_float64_params_give_the_same_bits,
+    test_float32_state_and_inputs_step_as_one_step_simulate). Anything else,
+    such as a Decimal, a str, None, a complex or a 0-d array, raises
+    ValueError naming it
+    (test_a_value_that_is_not_a_real_number_is_named_where_it_enters), and
+    so does an int past the float range
+    (test_an_int_past_the_float_range_is_named).
+    """
+    # float first: numbers.Real's ABC check is about 20 times slower
+    if not (isinstance(value, float) or isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{name} must fit a float, got {value!r}") from None
+
+
+def _as_float_array(name, value):
+    """np.asarray(value), whose dtype is bool, int or float: the array form of _as_float.
+
+    A ragged value, and one of any other dtype, such as complex, str or
+    object (a list holding a None, a Decimal or a Fraction), raises
+    ValueError naming it and the dtype
+    (test_an_array_that_is_not_real_numbers_is_named_where_it_enters). The
+    caller checks the shape and converts to float64.
+    """
+    try:
+        x = np.asarray(value)
+    except ValueError as e:  # a ragged value
+        raise ValueError(f"{name} must be an array of real numbers: {e}") from None
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be an array of real numbers, got {x.dtype}")
+    return x
+
+
 def _check_finite(name, value):
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    """value as a finite float (see _as_float)."""
+    if not math.isfinite(x := _as_float(name, value)):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
 
 
 def _check_positive(name, value):
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    """value as a finite float > 0 (see _as_float)."""
+    if not ((x := _as_float(name, value)) > 0.0 and math.isfinite(x)):
+        raise ValueError(f"{name} must be finite and > 0, got {x!r}")
+    return x
 
 
 def _check_count(name, value):
@@ -72,8 +118,10 @@ class RafParams:
         math.inf means no decay.
     theta: spike threshold on the v state (state units), finite.
 
-    A value that is not a real number, such as a str, None or a complex, is
-    named too (test_params_name_a_value_that_is_not_a_real_number).
+    Each field is stored as the float that _as_float makes of it, so params
+    that compare equal compute alike; a value that is not a real number, such
+    as a str, None, a complex or a Decimal, is named too
+    (test_params_name_a_value_that_is_not_a_real_number).
     """
 
     omega_u: float
@@ -82,13 +130,9 @@ class RafParams:
     tau_v: float = math.inf
     theta: float = 1.0
 
-    def __post_init__(self):
+    def __post_init__(self):  # frozen: each field is set once, here, as its float
         for name in ("omega_u", "omega_v", "tau_u", "tau_v", "theta"):
-            value = getattr(self, name)
-            try:  # the checks below would raise a TypeError that does not name it
-                math.isfinite(value)
-            except TypeError:
-                raise ValueError(f"{name} must be a real number, got {value!r}") from None
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         for name in ("omega_u", "omega_v"):
             w = getattr(self, name)
             if not (w >= 0.0 and math.isfinite(w)):
@@ -120,14 +164,18 @@ class RafParams:
 
 @dataclass(frozen=True)
 class NeuronState:
-    """Instantaneous (u, v) state pair; a non-finite value raises ValueError."""
+    """Instantaneous (u, v) state pair, stored as floats by _check_finite.
+
+    A non-finite value, or one that is not a real number, raises ValueError
+    naming it.
+    """
 
     u: float = 0.0
     v: float = 0.0
 
-    def __post_init__(self):
-        if not (math.isfinite(self.u) and math.isfinite(self.v)):
-            raise ValueError(f"state must be finite, got ({self.u!r}, {self.v!r})")
+    def __post_init__(self):  # frozen: each field is set once, here
+        object.__setattr__(self, "u", _check_finite("state u", self.u))
+        object.__setattr__(self, "v", _check_finite("state v", self.v))
 
 
 class InputSignal:
@@ -140,28 +188,23 @@ class InputSignal:
       * ``dense``: per-step current values (state units / s), held constant
         over each step (zero-order hold, integrated exactly).
 
-    Every time, amplitude and current must be finite, and times >= 0, or
+    Both are taken by _as_float_array and kept as float64 copies. Every
+    time, amplitude and current must be finite, and times >= 0, or
     ValueError is raised, naming the first bad event if an event is bad.
-    events that are not real numbers, ragged, or not empty and not shaped
-    (N, 2), and a dense input that is not real numbers, ragged or not 1-D,
-    raise ValueError naming events or dense
+    events that are not an array of real numbers (see _as_float_array) or
+    not empty and not shaped (N, 2), and a dense input that is not an array
+    of real numbers or not 1-D, raise ValueError naming events or dense
     (test_input_signal_rejects_non_finite_or_misshapen_input).
     """
 
     def __init__(self, dense=None, events=None):
-        try:  # ragged rows and values that are not real numbers raise here
-            self.dense = None if dense is None else np.array(dense, dtype=float)  # a copy
-        except (ValueError, TypeError) as e:
-            raise ValueError(f"dense input must be a 1-D array of numbers: {e}") from None
+        self.dense = None if dense is None else _as_float_array("dense input", dense).astype(float)
         if self.dense is not None:
             if self.dense.ndim != 1:
                 raise ValueError(f"dense input must be 1-D, got shape {self.dense.shape}")
             if not np.all(np.isfinite(self.dense)):
                 raise ValueError("dense input must be finite")
-        try:  # ragged rows and values that are not real numbers raise here
-            ev = np.array(() if events is None else events, dtype=float)  # (time, amplitude) rows
-        except (ValueError, TypeError) as e:
-            raise ValueError(f"events must be (time, amplitude) rows of numbers: {e}") from None
+        ev = _as_float_array("events", () if events is None else events).astype(float)
         if ev.size and (ev.ndim != 2 or ev.shape[1] != 2):
             raise ValueError(f"events must be (time, amplitude) rows, an (N, 2) array, "
                              f"got shape {ev.shape}")
@@ -192,7 +235,7 @@ class InputSignal:
         checked first, and a bad n_steps, checked after the horizon
         (test_impulse_increments_rejects_a_bad_n_steps).
         """
-        _check_positive("dt", dt)
+        dt = _check_positive("dt", dt)
         # a quotient that overflows gives inf, and numpy flags it as over and invalid
         with np.errstate(over="ignore", invalid="ignore"):
             steps = np.floor_divide(self.events[:, 0], dt)
@@ -210,12 +253,13 @@ class InputSignal:
 class StateTrace:
     """Recorded trajectory: arrays of post-step (u, v, z) values.
 
-    Sample i holds the state after i+1 steps, at time t = (i+1)*dt. u and v
-    are kept as 1-D float64 arrays, without a copy where they are already
-    that, and z as a 1-D int8 array. A bad dt, a u, v or z that is not a 1-D
-    array of numbers, a ragged one too, which the message names
-    (test_trace_rejects_a_misshapen_or_non_numeric_column),
-    u, v and z empty or of unequal lengths, or a z other than 0 or 1
+    Sample i holds the state after i+1 steps, at time t = (i+1)*dt. dt is
+    kept as a float (see _as_float), u and v as 1-D float64 arrays, without
+    a copy where they are already that, and z as a 1-D int8 array. A bad dt,
+    a u, v or z that is not an array of real numbers (see _as_float_array),
+    which the message names, u, v and z not 1-D arrays of one shape, whose
+    shapes it names (test_trace_rejects_a_misshapen_or_non_numeric_column),
+    u, v and z empty, or a z other than 0 or 1
     (test_trace_rejects_a_z_other_than_0_or_1) raise ValueError.
     """
 
@@ -226,23 +270,13 @@ class StateTrace:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_positive("trace dt", self.dt)
-        columns = []
-        for name in ("u", "v", "z"):
-            try:  # no copy of an array; a ragged column raises here
-                x = np.asarray(getattr(self, name))
-            except ValueError as e:
-                raise ValueError(f"trace {name} must be a 1-D array of numbers: {e}") from None
-            if x.ndim != 1 or x.dtype.kind not in "biuf":
-                raise ValueError(f"trace {name} must be a 1-D array of numbers, "
-                                 f"got shape {x.shape} of {x.dtype}")
-            columns.append(x)
-        u, v, z = columns
+        self.dt = _check_positive("trace dt", self.dt)
+        u, v, z = (_as_float_array(f"trace {name}", getattr(self, name)) for name in "uvz")
+        if not (u.ndim == 1 and u.shape == v.shape == z.shape):
+            raise ValueError(f"trace u, v and z must be 1-D arrays of one length, "
+                             f"got u {u.shape}, v {v.shape} and z {z.shape}")
         if len(u) == 0:
             raise ValueError("trace must be nonempty")
-        if not len(u) == len(v) == len(z):
-            raise ValueError(f"u, v and z must have equal lengths, "
-                             f"got {len(u)}, {len(v)} and {len(z)}")
         bad = np.flatnonzero((z != 0) & (z != 1))  # NaN too
         if len(bad):
             raise ValueError(f"trace has z = {float(z[bad[0]])!r} at sample {bad[0]}, "
@@ -288,7 +322,7 @@ class StateTrace:
                              f"expected 4 (t, u, v, z)")
         t, u, v, z = rows.T
         try:  # StateTrace checks dt and z first; its messages name the trace, these the file
-            trace = cls(dt=float(t[0]), u=u, v=v, z=z)
+            trace = cls(dt=t[0], u=u, v=v, z=z)
         except ValueError as e:
             raise ValueError(f"trace file {str(path)!r}{str(e).removeprefix('trace')}") from None
         bad = np.flatnonzero(t != trace.times)  # NaN too
@@ -301,7 +335,8 @@ class StateTrace:
 def transition_terms(omega_u, omega_v, k_u, k_v, dt):
     """Entries (m00, m01, m10, m11) of exp(A*dt) for A = [[-k_u, -omega_v], [omega_u, -k_v]].
 
-    Python floats in and out, computed with math: the bits follow libm, not
+    Python floats in and out, as RafParams's fields and every checked dt
+    are (see _as_float), computed with math: the bits follow libm, not
     numpy's SIMD dispatch (test_bits_do_not_follow_numpys_simd_dispatch).
     Closed form exp(A*dt) = env * (C*I + S*N) via A = mu*I + N with
     N*N = -disc*I: disc > 0 gives damped rotation, disc < 0 real
@@ -341,7 +376,7 @@ def transition_terms(omega_u, omega_v, k_u, k_v, dt):
 
 def transition_matrix(params: RafParams, dt: float) -> np.ndarray:
     """transition_terms as a 2x2 array; a non-finite entry raises SimulationError."""
-    _check_positive("dt", dt)
+    dt = _check_positive("dt", dt)
     mat = np.reshape(transition_terms(params.omega_u, params.omega_v, params.k_u, params.k_v, dt),
                      (2, 2))
     if not np.all(np.isfinite(mat)):
@@ -381,9 +416,9 @@ def input_vector(params: RafParams, dt: float) -> np.ndarray:
     would not fit a float (test_rejects_a_scale_above_2_to_the_1022), and
     if b is not finite (test_fails_alike_with_one_step_simulate_without_current).
     """
-    _check_positive("dt", dt)
+    dt = _check_positive("dt", dt)
     A = np.array([[-params.k_u, -params.omega_v],
-                  [params.omega_u, -params.k_v]], dtype=float)
+                  [params.omega_u, -params.k_v]])
     scale = float(np.max(np.abs(A))) * dt
     if not math.isfinite(scale):
         raise SimulationError(f"max|A|*dt is not finite for {params!r}, dt={dt!r}")
@@ -419,25 +454,25 @@ def step(state: NeuronState, params: RafParams, input_increment: float,
     It reads simulate's (m, b) from ``_propagator``, so it equals a one-step
     simulate bit for bit (test_hold_current_matches_dense_simulate) and
     fails wherever that fails, whatever hold_current is
-    (test_fails_alike_with_one_step_simulate_without_current). The inputs
-    are checked only when the new state is not finite: a non-finite input
-    raises ValueError naming it (test_rejects_a_non_finite_input), and
-    otherwise SimulationError names the new state, the state before the
-    step and both inputs
-    (test_error_names_the_state_before_the_step_and_both_inputs).
+    (test_fails_alike_with_one_step_simulate_without_current). Both inputs
+    are checked up front and stepped as floats (see _as_float): a
+    non-finite input raises ValueError naming it
+    (test_rejects_a_non_finite_input). A new state that is not finite
+    raises SimulationError naming it, the state before the step and both
+    inputs (test_error_names_the_state_before_the_step_and_both_inputs).
     """
+    input_increment = _check_finite("input_increment", input_increment)
+    hold_current = _check_finite("hold_current", hold_current)
     (m00, m01, m10, m11), (b0, b1) = _propagator(params, dt)  # checks dt
     fu, fv = input_increment + b0 * hold_current, b1 * hold_current  # summed first, as in _forcing
     u = m00 * state.u + m01 * state.v + fu
     v = m10 * state.u + m11 * state.v + fv
     if not (math.isfinite(u) and math.isfinite(v)):
-        _check_finite("input_increment", input_increment)
-        _check_finite("hold_current", hold_current)
         raise SimulationError(f"non-finite state ({u!r}, {v!r}) after step from {state!r} "
                               f"with input_increment={input_increment!r}, "
                               f"hold_current={hold_current!r}, {params!r}, dt={dt!r}")
-    new_state = NeuronState(float(u), float(v))
-    return new_state, bool(new_state.v >= params.theta)
+    new_state = NeuronState(u, v)
+    return new_state, new_state.v >= params.theta
 
 
 @functools.lru_cache(maxsize=32)
@@ -462,7 +497,7 @@ def _propagator(params: RafParams, dt: float):
     (test_a_second_sweep_builds_no_b); an LRU cache smaller than the cycle
     would miss on every key.
     """
-    _check_positive("dt", dt)
+    dt = _check_positive("dt", dt)
     return (transition_terms(params.omega_u, params.omega_v, params.k_u, params.k_v, dt),
             tuple(input_vector(params, dt).tolist()))
 
@@ -548,6 +583,7 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     repeats bit for bit on one libm and one BLAS kernel.
     """
     _check_count("n_steps", n_steps)
+    dt = _check_positive("dt", dt)
     currents = input_signal.dense
     if currents is not None and len(currents) != n_steps:
         raise ValueError(f"dense input has {len(currents)} samples, expected {n_steps}")
@@ -728,9 +764,9 @@ def resonance_response(params: RafParams, drive_frequency: float,
     fewer than 2 steps (test_rejects_a_duration_under_two_steps) or to more
     steps than a float holds.
     """
-    _check_positive("drive_frequency", drive_frequency)
-    _check_finite("drive_amplitude", drive_amplitude)
-    _check_positive("duration", duration)
+    drive_frequency = _check_positive("drive_frequency", drive_frequency)
+    drive_amplitude = _check_finite("drive_amplitude", drive_amplitude)
+    duration = _check_positive("duration", duration)
     _check_count("steps_per_cycle", steps_per_cycle)
     f_ref = max(drive_frequency, params.resonance_frequency)
     try:  # an int past the float range overflows, and so can 1/dt, giving dt = 0

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -1296,7 +1297,10 @@ class TestTypesAndValidation:
         ({"tau_u": "x"}, "tau_u"),
         ({"tau_v": [1.0, 2.0]}, "tau_v"),
         ({"theta": None}, "theta"),
-    ], ids=["omega_u-str", "omega_v-complex", "tau_u-str", "tau_v-list", "theta-none"])
+        ({"omega_u": Decimal("2")}, "omega_u"),
+        ({"tau_v": np.array(0.5)}, "tau_v"),
+    ], ids=["omega_u-str", "omega_v-complex", "tau_u-str", "tau_v-list", "theta-none",
+            "omega_u-decimal", "tau_v-0d-array"])
     def test_params_name_a_value_that_is_not_a_real_number(self, kwargs, name):
         values = {"omega_u": 1.0, "omega_v": 1.0, **kwargs}
         with pytest.raises(ValueError, match=re.escape(f"{name} must be a real number, "
@@ -1381,9 +1385,9 @@ class TestTypesAndValidation:
         ({"dense": [1.0, math.inf]}, "dense input must be finite"),
         ({"dense": [1.0, math.nan]}, "dense input must be finite"),
         ({"dense": [[1.0, 2.0], [3.0, 4.0]]}, "dense input must be 1-D, got shape (2, 2)"),
-        ({"dense": [[1.0, 2.0], [3.0]]}, "dense input must be a 1-D array of numbers"),
-        ({"dense": ["a", "b"]}, "dense input must be a 1-D array of numbers"),
-        ({"dense": [1.0, 1j]}, "dense input must be a 1-D array of numbers"),
+        ({"dense": [[1.0, 2.0], [3.0]]}, "dense input must be an array of real numbers: "),
+        ({"dense": ["a", "b"]}, "dense input must be an array of real numbers, got <U1"),
+        ({"dense": [1.0, 1j]}, "dense input must be an array of real numbers, got complex128"),
         ({"events": [(math.nan, 1.0)]}, "event 0 (time, amplitude) must be finite"),
         ({"events": [(math.inf, 1.0)]}, "event 0 (time, amplitude) must be finite"),
         ({"events": [(0.0, math.inf)]}, "event 0 (time, amplitude) must be finite"),
@@ -1392,8 +1396,8 @@ class TestTypesAndValidation:
         # neither a flat pair nor a (2, 1, 2) array is a list of (time, amplitude) rows
         ({"events": np.array([1.0, 2.0])}, "an (N, 2) array, got shape (2,)"),
         ({"events": np.zeros((2, 1, 2))}, "an (N, 2) array, got shape (2, 1, 2)"),
-        ({"events": [(0.0, 1.0), (1.0,)]}, "events must be (time, amplitude) rows of numbers"),
-        ({"events": [(0.0, 1j)]}, "events must be (time, amplitude) rows of numbers"),
+        ({"events": [(0.0, 1.0), (1.0,)]}, "events must be an array of real numbers: "),
+        ({"events": [(0.0, 1j)]}, "events must be an array of real numbers, got complex128"),
     ], ids=["dense-inf", "dense-nan", "dense-2d", "dense-ragged", "dense-str", "dense-complex",
             "time-nan", "time-inf", "amplitude-inf", "amplitude-nan", "event-triple",
             "events-flat", "events-3d", "events-ragged", "events-complex"])
@@ -1474,11 +1478,14 @@ class TestTypesAndValidation:
         # to_csv would write a 2-D row as a cell like [0.0, 0.0], which from_csv cannot read
         columns = {"u": np.zeros(3), "v": np.zeros(3), "z": np.zeros(3, dtype=np.int8)}
         columns[name] = value
-        message = f"trace {name} must be a 1-D array of numbers"
         if isinstance(value, list):  # ragged: numpy's reason follows
-            message += ": "
-        else:
-            message += f", got shape {value.shape} of {value.dtype}"
+            message = f"trace {name} must be an array of real numbers: "
+        elif value.dtype.kind not in "biuf":
+            message = f"trace {name} must be an array of real numbers, got {value.dtype}"
+        else:  # the shapes are named in the order u, v, z
+            shapes = {key: np.shape(column) for key, column in columns.items()}
+            message = (f"trace u, v and z must be 1-D arrays of one length, got "
+                       f"u {shapes['u']}, v {shapes['v']} and z {shapes['z']}")
         with pytest.raises(ValueError, match=re.escape(message)):
             StateTrace(dt=1e-3, **columns)
 
@@ -1492,7 +1499,10 @@ class TestTypesAndValidation:
     @pytest.mark.parametrize("lengths", [(3, 2, 3), (3, 3, 1), (2, 3, 3)])
     def test_trace_rejects_unequal_lengths(self, lengths):
         u, v, z = (np.zeros(k) for k in lengths)
-        with pytest.raises(ValueError, match="u, v and z must have equal lengths"):
+        a, b, c = lengths
+        match = re.escape(f"u, v and z must be 1-D arrays of one length, "
+                          f"got u ({a},), v ({b},) and z ({c},)")
+        with pytest.raises(ValueError, match=match):
             StateTrace(dt=1e-3, u=u, v=v, z=z)
 
     def test_trace_csv_without_rows_is_an_error(self, tmp_path):
@@ -1583,3 +1593,126 @@ class TestTypesAndValidation:
             loaded = StateTrace.from_csv(path)
         assert loaded.u.tobytes() == trace.u.tobytes()
         assert loaded.v.tobytes() == trace.v.tobytes()
+
+
+class TestNumbersEnterAsFloats:
+    """Each number is checked and made a float once, where it enters (_as_float)."""
+
+    def test_float32_and_float64_params_give_the_same_bits(self):
+        # equal params share a _propagator key, so both must build what either would
+        values = {"omega_u": TWO_PI * 300, "omega_v": TWO_PI * 200, "tau_u": 0.02,
+                  "tau_v": 0.05, "theta": 0.3}
+        p32 = RafParams(**{k: np.float32(x) for k, x in values.items()})
+        p64 = RafParams(**{k: float(np.float32(x)) for k, x in values.items()})
+        assert p32 == p64 and hash(p32) == hash(p64)
+        dt = 1.0 / (64 * 250)
+        signal = InputSignal(dense=np.ones(2000), events=[(0.0, 1.0)])
+        runs = []
+        for order in ((p32, p64), (p64, p32)):
+            _propagator.cache_clear()
+            for p in order:
+                m, b = _propagator(p, dt)
+                trace = simulate(p, signal, dt, 2000)
+                runs.append(np.array(m + b).tobytes() + trace.u.tobytes() + trace.v.tobytes()
+                            + trace.z.tobytes())
+        assert runs == [runs[0]] * 4
+        for p in (p32, p64):
+            assert {type(getattr(p, f.name)) for f in dataclasses.fields(p)} == {float}
+            assert {type(x) for x in transition_terms(p.omega_u, p.omega_v, p.k_u, p.k_v,
+                                                      dt)} == {float}
+
+    def test_float32_state_and_inputs_step_as_one_step_simulate(self):
+        p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
+        dt = 1.0 / (64 * 250)
+        state = NeuronState(np.float32(0.3), np.float32(-0.7))
+        increment, current = np.float32(0.1), np.float32(2.5)
+        new, spiked = step(state, p, increment, dt, hold_current=current)
+        trace = simulate(p, InputSignal(dense=[current], events=[(0.0, increment)]), dt, 1,
+                         initial_state=state)
+        assert (new.u.hex(), new.v.hex()) == (trace.u[0].hex(), trace.v[0].hex())
+        assert (type(state.u), type(new.u), type(new.v), type(spiked)) == (float, float,
+                                                                          float, bool)
+
+    @pytest.mark.parametrize("value", [Decimal("0.001"), "0.001", None, 1e-3 + 0j],
+                             ids=["decimal", "str", "none", "complex"])
+    def test_a_value_that_is_not_a_real_number_is_named_where_it_enters(self, value):
+        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.05)
+        state = NeuronState(0.1, -0.2)
+        trace = {"u": np.zeros(3), "v": np.zeros(3), "z": np.zeros(3, dtype=np.int8)}
+        drive = {"drive_frequency": 100.0, "drive_amplitude": 1.0, "duration": 0.5}
+        entries = [(name, lambda x, name=name: RafParams(**{"omega_u": 1.0, "omega_v": 1.0,
+                                                            name: x}))
+                   for name in ("omega_u", "omega_v", "tau_u", "tau_v", "theta")]
+        entries += [(name, lambda x, name=name: resonance_response(p, **{**drive, name: x}))
+                    for name in drive]
+        entries += [
+            ("state u", lambda x: NeuronState(x, 0.0)),
+            ("state v", lambda x: NeuronState(0.0, x)),
+            ("input_increment", lambda x: step(state, p, x, 1e-3)),
+            ("hold_current", lambda x: step(state, p, 0.0, 1e-3, hold_current=x)),
+            ("dt", lambda x: simulate(p, InputSignal(), x, 10)),
+            ("dt", lambda x: input_vector(p, x)),
+            ("dt", lambda x: transition_matrix(p, x)),
+            ("dt", lambda x: InputSignal.impulse(1.0).impulse_increments(x, 10)),
+            ("trace dt", lambda x: StateTrace(dt=x, **trace)),
+            ("dt", lambda x: step(state, p, 0.0, x)),
+        ]
+        for name, enter in entries:
+            with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a real number, "
+                                                 f"got {re.escape(repr(value))}$"):
+                enter(value)
+
+    def test_an_int_past_the_float_range_is_named(self):
+        with pytest.raises(ValueError, match=r"^omega_u must fit a float, got 1000"):
+            RafParams(omega_u=10**400, omega_v=1.0)
+
+    @pytest.mark.parametrize("value", [np.array([1.0, 1j]), np.array(["1.0", "2.0"]),
+                                       ["1.0", "2.0"], [1.0, None]],
+                             ids=["complex-array", "numeric-str-array", "numeric-str-list",
+                                  "none-in-list"])
+    def test_an_array_that_is_not_real_numbers_is_named_where_it_enters(self, value):
+        dtype = np.asarray(value).dtype
+        columns = {"u": np.zeros(2), "v": np.zeros(2), "z": np.zeros(2, dtype=np.int8)}
+        entries = [("dense input", lambda x: InputSignal(dense=x)),
+                   ("events", lambda x: InputSignal(events=[x]))]
+        entries += [(f"trace {name}", lambda x, name=name: StateTrace(dt=1e-3,
+                                                                      **{**columns, name: x}))
+                    for name in columns]
+        for name, enter in entries:
+            kind = np.asarray([value]).dtype if name == "events" else dtype
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy's ComplexWarning included
+                with pytest.raises(ValueError, match=re.escape(
+                        f"{name} must be an array of real numbers, got {kind}")):
+                    enter(value)
+
+    @pytest.mark.parametrize("value", [2, np.int64(2), True, np.float32(0.5), np.float64(0.5),
+                                       Fraction(1, 3), 0.5],
+                             ids=["int", "np-int64", "bool", "np-float32", "np-float64",
+                                  "fraction", "float"])
+    def test_a_real_number_of_any_type_enters_as_its_float(self, value):
+        x = float(value)
+        p = RafParams(omega_u=value, omega_v=value, tau_u=value, tau_v=value, theta=value)
+        state = NeuronState(value, value)
+        trace = simulate(p, InputSignal(), value, 2)
+        for got in (p.omega_u, p.omega_v, p.tau_u, p.tau_v, p.theta, state.u, state.v, trace.dt,
+                    StateTrace(dt=value, u=[0.0], v=[0.0], z=[0]).dt):
+            assert type(got) is float and got.hex() == x.hex()
+        new, _ = step(state, p, value, value, hold_current=value)
+        assert type(new.u) is type(new.v) is float
+        assert input_vector(p, value).tobytes() == input_vector(p, x).tobytes()
+
+    @pytest.mark.parametrize("dense, events", [
+        ([1, 2], [(0, 1)]),
+        (np.array([1, 2], dtype=np.int32), np.array([[0, 1]], dtype=np.uint8)),
+        ([True, False], [(False, True)]),
+        (np.array([1.0, 2.0], dtype=np.float32), np.array([[0.0, 1.0]], dtype=np.float16)),
+        (None, []),
+        (None, ()),
+    ], ids=["python-ints", "numpy-ints", "bools", "narrow-floats", "no-events", "empty-tuple"])
+    def test_an_array_of_real_numbers_enters_as_float64(self, dense, events):
+        signal = InputSignal(dense=dense, events=events)
+        if dense is not None:
+            assert signal.dense.dtype == np.float64
+            assert signal.dense.tolist() == np.asarray(dense, dtype=float).tolist()
+        assert signal.events.dtype == np.float64 and signal.events.shape == (len(events), 2)
