@@ -454,16 +454,19 @@ def step(state: NeuronState, params: RafParams, input_increment: float,
     It reads simulate's (m, b) from ``_propagator``, so it equals a one-step
     simulate bit for bit (test_hold_current_matches_dense_simulate) and
     fails wherever that fails, whatever hold_current is
-    (test_fails_alike_with_one_step_simulate_without_current). Both inputs
-    are checked up front and stepped as floats (see _as_float): a
+    (test_fails_alike_with_one_step_simulate_without_current). dt and both
+    inputs are checked up front and stepped as floats (see _as_float), dt
+    before the cache hashes it
+    (test_a_value_that_is_not_a_real_number_is_named_where_it_enters): a
     non-finite input raises ValueError naming it
     (test_rejects_a_non_finite_input). A new state that is not finite
     raises SimulationError naming it, the state before the step and both
     inputs (test_error_names_the_state_before_the_step_and_both_inputs).
     """
+    dt = _check_positive("dt", dt)
     input_increment = _check_finite("input_increment", input_increment)
     hold_current = _check_finite("hold_current", hold_current)
-    (m00, m01, m10, m11), (b0, b1) = _propagator(params, dt)  # checks dt
+    (m00, m01, m10, m11), (b0, b1) = _propagator(params, dt)
     fu, fv = input_increment + b0 * hold_current, b1 * hold_current  # summed first, as in _forcing
     u = m00 * state.u + m01 * state.v + fu
     v = m10 * state.u + m11 * state.v + fv
@@ -518,9 +521,9 @@ _W_INDEX = _w_index(BLOCK)
 
 @functools.lru_cache(maxsize=32)
 def _toeplitz(m):
-    """(P, W) of the scan for the M with entries m, cached.
+    """(P, W, WN) of the scan for the M with entries m, cached.
 
-    Both start from the reference loop's response to a unit input:
+    All three start from the reference loop's response to a unit input:
     ``_loop_scan`` runs once per input component c on L + 1 zero inputs but
     a 1 on c at step 0, from a zero state, so its states are
     R[k, c] = M^k e_c, the powers multiplied out in the loop's own order of
@@ -544,13 +547,19 @@ def _toeplitz(m):
         step-major order: W[2*j + c, 2*i + r] = M^(i-j)[r, c] carries input
         c at step j of a block to state r at step i, so row 2*j + c is the
         loop's response to a unit input bit for bit by construction
-        (test_w_rows_are_the_loops_response_to_a_unit_input). Its last two
-        columns give a block's end state. It is one gather (``_W_INDEX``)
-        from R behind one zero.
+        (test_w_rows_are_the_loops_response_to_a_unit_input). It is one
+        gather (``_W_INDEX``) from R behind one zero.
+    WN: the read-only (2*L, 2) matrix WN[2*j + c, r] = R[L - j, c, r] =
+        M^(L-j)[r, c], the loop's unit response one step past the block:
+        row 2*j + c is the loop's state at step L after a unit input c at
+        step j, bit for bit (same test), and a block's inputs times WN are
+        M e, its end state from zero times M, which the carry adds. WN[:2]
+        is P[0] (test_carry_is_m_multiplied_out_block_times).
 
     The cache holds 32 entries, the most that a budget of 1 MiB of W allows
-    at (2*L)**2 floats each (test_cache_holds_at_most_one_mib_of_w), so up
-    to 32 distinct M, such as a sweep's, stay cached from one run to the next
+    at (2*L)**2 floats each, with WN's 1 KiB besides
+    (test_cache_holds_at_most_one_mib_of_w), so up to 32 distinct M, such
+    as a sweep's, stay cached from one run to the next
     (test_a_second_sweep_builds_no_w), and a warm run squares no power. A
     cold build runs the 47 squarings once per M.
     """
@@ -560,13 +569,14 @@ def _toeplitz(m):
     for c in (0, 1):
         _loop_scan(m, R[:, c], 0.0, 0.0)
     W = np.concatenate(([0.0], R.ravel()))[_W_INDEX]
+    WN = R[:0:-1].reshape(2 * L, 2)  # a copy: R[L - j, c, r] at [2*j + c, r]
     P = np.empty((ROUNDS, 2, 2))
     P[0] = R[L]
     with np.errstate(over="ignore", invalid="ignore"):  # _run handles a run that reads one
         for r in range(ROUNDS - 1):
             P[r + 1] = P[r] @ P[r]
-    W.flags.writeable = P.flags.writeable = False  # shared by every hit
-    return P, W
+    P.flags.writeable = W.flags.writeable = WN.flags.writeable = False  # shared by every hit
+    return P, W, WN
 
 
 def simulate(params: RafParams, input_signal: InputSignal, dt: float,
@@ -600,29 +610,37 @@ def _run(params, dt, n_steps, currents, increments, state=NeuronState(), first=0
     only its steady window. currents (state units / s, held over each step)
     and increments (impulses added to u) are per-step arrays of n_steps
     values, or None for none. M and b come from ``_propagator``, which checks
-    dt. The inputs go into one padded buffer (``_forcing``), and
-    ``_blocked_scan`` turns them into states in place from the chunk holding
-    step first on.
+    dt. The buffer holds min(CHUNK, n_blocks) blocks of headroom, then the
+    inputs (``_forcing``), zero-padded to whole blocks of BLOCK steps, and
+    ``_blocked_scan`` writes the states of the chunks from the one holding
+    step first on into it, step k at row k: each chunk lands one headroom
+    before its inputs, so no matmul copies its input (see
+    ``_blocked_scan``). The headroom adds at most CHUNK * BLOCK (u, v)
+    pairs, 64 KiB.
 
     Repair: those states are checked once. If one is not finite, the
-    inputs are written anew and ``_loop_scan``, the scan's contract with
-    one plain step per row, turns the run's rows into states from step 0
-    in the same buffer: the scan spreads a non-finite value over its block
-    and, through the carry, over every later block, and can overflow where
-    the loop does not. The loop's states are then the run's
+    inputs are written anew into their own rows, which the scan has folded
+    and in part overwritten, and ``_loop_scan``, the scan's recurrence with
+    one plain step per row, turns them into states from step 0 in place:
+    the scan spreads a non-finite value over its block and, through the
+    carry, over every later block, and can overflow where the loop does
+    not. The loop's states are then the run's
     (test_kernel_overflow_the_loop_avoids_is_repaired,
     test_repair_past_the_first_upper_block_is_the_loop_from_step_0), or
     SimulationError names the first step at which the state leaves the
     finite range (test_error_names_the_first_non_finite_step).
     """
     m, b = _propagator(params, dt)
-    X = np.empty((-(-n_steps // BLOCK) * BLOCK, 2))
-    X[n_steps:] = 0.0  # the pad rows: zero past the run
+    n_blocks = -(-n_steps // BLOCK)
+    h = min(CHUNK, n_blocks) * BLOCK  # the headroom's rows
+    X = np.empty((h + n_blocks * BLOCK, 2))
+    X[h + n_steps:] = 0.0  # the pad rows: zero past the run
     with np.errstate(over="ignore", invalid="ignore"):
-        _forcing(b, currents, increments, X[:n_steps])
+        _forcing(b, currents, increments, X[h:h + n_steps])
         _blocked_scan(m, X, state.u, state.v, first // BLOCK)
         if not np.isfinite(X[first:n_steps]).all():
-            _forcing(b, currents, increments, X[:n_steps])  # the scan has overwritten them
+            X = X[h:]  # the inputs' rows
+            _forcing(b, currents, increments, X[:n_steps])
             _loop_scan(m, X[:n_steps], state.u, state.v)
             finite = np.isfinite(X[:n_steps]).all(axis=1)
             if not finite.all():
@@ -650,40 +668,51 @@ def _forcing(b, currents, increments, out):
 
 
 def _blocked_scan(m, X, u, v, first=0):
-    """Turn X into the states of x[i] = M x[i-1] + X[i] from x[-1] = (u, v), in place.
+    """Write the states of x[i] = M x[i-1] + f[i] from x[-1] = (u, v) into X[:n_blocks * L].
 
-    X is a C-ordered (n_blocks * L, 2) array of per-step (u, v) inputs, zero
-    past the run, for L = BLOCK; m = (m00, m01, m10, m11) holds M, and
+    X is a C-ordered ((h + n_blocks) * L, 2) array for L = BLOCK: h =
+    min(CHUNK, n_blocks) blocks of headroom, then the per-step (u, v) inputs
+    f, zero past the run. m = (m00, m01, m10, m11) holds M, and
     ``_toeplitz(m)`` gives the carry's powers P, with the runs they cover,
-    and the block-Toeplitz matrix W.
-    Seen as (n_blocks, 2 * L), each row of X is one block, and a block that
-    starts from state s runs as if from zero with M s added to its first
-    input: x[i] = sum_{j<=i} M^(i-j) f[j] with f[0] += M s, that is the
-    block's row times W, the scan's one Toeplitz level. The start states
-    come first. They obey s' = M^L s + e, where e is a block's end state
-    from zero, and a doubling carries them (the associative scan of a linear
-    recurrence): S holds (u, v) and then the e of every block but the last,
-    as rows, and each round r, d = 2**r = 1, 2, 4, ..., adds S[i-d] @ P[r],
-    M^(L*d) applied to S[i-d], to S[i] for i >= d. After the round for d,
-    S[i] sums the 2*d terms up to i, so ceil(log2(n_blocks)) rounds leave S
-    holding the start states. The rounds read the cached powers and square
-    nothing: their bits are those of a carry that squares P[r] @ P[r] inline
-    (test_the_carry_equals_a_doubling_that_squares_inline). Only M's own P
-    and W are built, so ``_toeplitz`` misses once per distinct M
+    the block-Toeplitz matrix W and the unit response WN one step past a
+    block.
+    Seen as (h + n_blocks, 2 * L), each row of X is one block, and a block
+    that starts from state s runs as if from zero with t = M s added to its
+    first input: x[i] = sum_{j<=i} M^(i-j) f[j] with f[0] += t, that is the
+    block's row times W, the scan's one Toeplitz level. The carried values
+    come first. They obey t' = M^L t + M e, where e is a block's end state
+    from zero and M e its inputs times WN, and a doubling carries them (the
+    associative scan of a linear recurrence): S holds M (u, v), from the
+    loop's own operations, so that step 0 equals step() bit for bit, and
+    then the M e of every block but the last, as rows, and each round r,
+    d = 2**r = 1, 2, 4, ..., adds S[i-d] @ P[r], M^(L*d) applied to S[i-d],
+    to S[i] for i >= d. After the round for d, S[i] sums the 2*d terms up to
+    i, so ceil(log2(n_blocks)) rounds leave S holding each block's t, and
+    the fold is one add per component. Only block 0's t is made by the
+    loop's operations; the others carry BLAS's rounding of M e and of the
+    rounds. The rounds read the cached powers and square nothing: their
+    bits are those of a carry that squares P[r] @ P[r] inline
+    (test_the_carry_equals_a_doubling_that_squares_inline). Only M's own P,
+    W and WN are built, so ``_toeplitz`` misses once per distinct M
     (test_a_cold_long_run_builds_w_once). M is never diagonalised, so a
     defective M (critical damping) is no special case.
 
-    Only the blocks from first // CHUNK * CHUNK on become states; the rows
-    before them keep their inputs. The states written are those of a scan
-    from block 0 bit for bit
+    Only the blocks from first // CHUNK * CHUNK on become states. The states
+    written are those of a scan from block 0 bit for bit
     (test_a_scan_from_a_later_block_writes_the_whole_scans_bits): the start
     is a whole chunk because OpenBLAS can give a row other bits at another
-    place in a matmul. The bits follow the BLAS kernel, in the carry's
-    rounds and P's squarings as in the Toeplitz level.
+    place in a matmul. The bits follow the BLAS kernel, in the end states,
+    the carry's rounds and P's squarings as in the Toeplitz level.
 
-    Each chunk's matmul writes into the chunk it reads, which numpy's
-    matmul allows by copying the overlapping input first. ``_loop_scan``
-    keeps this contract, on the run's rows, with one plain step per row.
+    Where the states land: the end states are read first, then each chunk's
+    matmul reads its folded inputs, h blocks on in X, and writes their
+    states h blocks earlier, at the blocks' own rows, into headroom or
+    inputs that the end states' matmul or the previous chunk has already
+    read. No matmul's output shares memory with its input, so numpy copies
+    no input first (test_no_matmul_of_the_scan_writes_over_its_input). The
+    rows before the first chunk's keep their values; the inputs past the
+    states may be folded. ``_loop_scan`` runs the same recurrence in place,
+    on the inputs' own rows, with one plain step per row.
 
     Precision: the bounds cover the whole scan, the Toeplitz level's sums
     and the carry's rounds and P's squarings together. Within SCAN_RTOL =
@@ -696,32 +725,31 @@ def _blocked_scan(m, X, u, v, first=0):
     n_steps * eps / 8 of the largest |state| of the exact recurrence on M's
     float entries (test_scan_against_the_exact_recurrence, up to 300k steps).
     """
-    n_blocks = len(X) // BLOCK
-    F = X.reshape(n_blocks, 2 * BLOCK)  # a view, so the scan writes into X
-    P, W = _toeplitz(m)
-    S = np.empty((n_blocks, 2))  # (u, v), then e of blocks 0..n_blocks-2; start states after
-    S[0] = u, v
-    np.matmul(F[:-1], W[:, -2:], out=S[1:])
+    F = X.reshape(-1, 2 * BLOCK)  # a view, so the scan writes into X
+    h = min(CHUNK, len(F) // 2)  # the headroom's blocks
+    n_blocks = len(F) - h
+    P, W, WN = _toeplitz(m)
+    m00, m01, m10, m11 = m
+    S = np.empty((n_blocks, 2))  # M s, then M e of blocks 0..n_blocks-2; each t after
+    S[0] = m00 * u + m01 * v, m10 * u + m11 * v  # the loop's own operations: step 0 is step()'s
+    np.matmul(F[h:-1], WN, out=S[1:])
     for r in range((n_blocks - 1).bit_length()):  # d = 2**r = 1, 2, 4, ... < n_blocks
         d = 1 << r
-        S[d:] += S[:-d] @ P[r]  # the right side is read first
+        S[d:] += np.dot(S[:-d], P[r])  # the right side is read first
     start = first // CHUNK * CHUNK
-    su, sv = S[start:, 0], S[start:, 1]
-    m00, m01, m10, m11 = m
-    # f + (M s): the loop's own operations, so step 0 equals step() bit for bit
-    F[start:, 0] += m00 * su + m01 * sv
-    F[start:, 1] += m10 * su + m11 * sv
+    F[h + start:, 0] += S[start:, 0]
+    F[h + start:, 1] += S[start:, 1]
     for i in range(start, n_blocks, CHUNK):
-        np.matmul(F[i:i + CHUNK], W, out=F[i:i + CHUNK])
+        np.matmul(F[h + i:h + i + CHUNK], W, out=F[i:min(i + CHUNK, n_blocks)])
 
 
 def _loop_scan(m, X, u, v):
     """Turn X into the states of x[i] = M x[i-1] + X[i] from x[-1] = (u, v), step by step.
 
-    ``_blocked_scan``'s contract with one plain step per row: the scan's
-    reference, and the kernel of the runs that ``_run`` repairs. X is an
-    (n_steps, 2) array of per-step (u, v) inputs, and m = (m00, m01, m10,
-    m11) holds M. Every row becomes the plain recurrence's state bit for
+    ``_blocked_scan``'s recurrence in place, with one plain step per row:
+    the scan's reference, and the kernel of the runs that ``_run`` repairs.
+    X is an (n_steps, 2) array of per-step (u, v) inputs, and m = (m00, m01,
+    m10, m11) holds M. Every row becomes the plain recurrence's state bit for
     bit, a non-finite state and those after it too
     (test_loop_scan_is_the_plain_recurrence_on_every_row).
 

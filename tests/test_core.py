@@ -130,6 +130,18 @@ def loop_reference(p, signal, dt, n_steps, state=NeuronState()):
     return X[:, 0], X[:, 1]
 
 
+def scan_buffer(inputs):
+    """(X, h): inputs of whole blocks behind h rows of headroom, as _run lays out a scan.
+
+    h is min(CHUNK, n_blocks) blocks. The headroom is NaN, so a state that
+    reads it is not finite; _blocked_scan writes the states into X[:len(inputs)].
+    """
+    h = min(CHUNK, len(inputs) // BLOCK) * BLOCK
+    X = np.full((h + len(inputs), 2), np.nan)
+    X[h:] = inputs
+    return X, h
+
+
 def assert_matches_loop(p, signal, dt, n_steps, state=NeuronState()):
     ref_u, ref_v = loop_reference(p, signal, dt, n_steps, state)
     tol = SCAN_RTOL * max(np.abs(ref_u).max(), np.abs(ref_v).max())
@@ -745,8 +757,8 @@ class TestScanKernel:
         signal = InputSignal(dense=currents,
                              events=[(1100.0, -1e308), (2000.0, 1e308), (2001.0, 1e308)])
         m, b = _propagator(p, 1.0)
-        X = np.zeros((n_steps, 2))
-        _forcing(b, currents, signal.impulse_increments(1.0, n_steps), X)
+        X, h = scan_buffer(np.zeros((n_steps, 2)))
+        _forcing(b, currents, signal.impulse_increments(1.0, n_steps), X[h:])
         with np.errstate(over="ignore", invalid="ignore"):
             _blocked_scan(m, X, 0.0, 0.0)
         assert not np.isfinite(X[2 * BLOCK**2 - 1]).all()  # the kernel overflows
@@ -814,6 +826,27 @@ class TestScanKernel:
         monkeypatch.setattr(np, "empty", nan_empty)
         assert np.isnan(np.empty(2)).all()
         assert run() == expected
+
+    def test_no_matmul_of_the_scan_writes_over_its_input(self, monkeypatch):
+        # each chunk's states land one headroom before its inputs, in rows
+        # already read, so numpy never copies a matmul's input first: a run of
+        # 4 chunks, and a sweep point whose window starts in chunk 1
+        p = RafParams(omega_u=TWO_PI * 200, omega_v=TWO_PI * 200, tau_u=0.05, tau_v=0.05)
+        dt, n_steps = 1.0 / (64 * 200), 3 * CHUNK * BLOCK + 5
+        calls = []
+        matmul = np.matmul
+
+        def checked(a, b, out=None):
+            if sys._getframe(1).f_code is _blocked_scan.__code__:
+                calls.append(np.may_share_memory(out, a))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", checked)
+        simulate(p, mixed_input(p, dt, n_steps, 9), dt, n_steps)
+        assert calls == [False] * 5  # the end states, then 4 chunks
+        calls.clear()
+        resonance_response(p, 180.0, 1.0, n_steps * dt)  # the window from step 7375, block 230
+        assert calls == [False] * 4  # the end states, then chunks 1 to 3
 
     @pytest.mark.parametrize("bad_input", [None, "inf_at_0", "inf_at_17", "overflow_at_40"])
     def test_loop_scan_is_the_plain_recurrence_on_every_row(self, bad_input):
@@ -921,7 +954,7 @@ class TestExactReference:
 
 
 class TestPropagator:
-    """The cached (m, b) per (params, dt), and (P, W) per M."""
+    """The cached (m, b) per (params, dt), and (P, W, WN) per M."""
 
     def test_cold_cache_gives_the_same_bits_as_warm(self):
         p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
@@ -972,6 +1005,7 @@ class TestPropagator:
         w_bytes = _toeplitz(m)[1].nbytes
         assert w_bytes == (2 * BLOCK) ** 2 * 8
         assert _toeplitz.cache_info().maxsize * w_bytes <= 2**20
+        assert _toeplitz(m)[2].nbytes == 2 * BLOCK * 2 * 8  # WN's 1 KiB besides
 
     def test_a_cold_long_run_builds_w_once(self):
         # many more than BLOCK + 1 blocks, and the scan builds W for M alone
@@ -1021,9 +1055,12 @@ class TestPropagator:
         for _ in range(BLOCK):  # M @ (M^k), in the loop's order of operations
             a, b, c, d = (m00 * a + m01 * c, m00 * b + m01 * d,
                           m10 * a + m11 * c, m10 * b + m11 * d)
-        # the carry multiplies state rows from the right, so P[0] holds (M^L)^T
-        P, _ = _toeplitz((m00, m01, m10, m11))
+        # the carry multiplies rows M s from the right, so P[0] holds (M^L)^T;
+        # WN's rows for step 0, which carry a block's first input one step past
+        # the block into the next M s, are the same L products
+        P, _, WN = _toeplitz((m00, m01, m10, m11))
         assert P[0].tobytes() == np.array([[a, c], [b, d]]).tobytes()
+        assert WN[:2].tobytes() == P[0].tobytes()
 
     @pytest.mark.parametrize("critical", [False, True])
     def test_powers_are_the_matmul_chain(self, critical):
@@ -1034,7 +1071,7 @@ class TestPropagator:
         else:
             p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
             dt = 1.0 / (64 * 250)
-        P, _ = _toeplitz(_propagator(p, dt)[0])
+        P = _toeplitz(_propagator(p, dt)[0])[0]
         assert P.shape == (ROUNDS, 2, 2)
         PT = P[0].copy()
         for r in range(ROUNDS):
@@ -1048,41 +1085,39 @@ class TestPropagator:
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.08, tau_v=0.08)
         m, _ = _propagator(p, 1.0 / 6400)
         inputs = np.random.default_rng(n_blocks).normal(size=(n_blocks * BLOCK, 2))
-        X = inputs.copy()
+        X, _ = scan_buffer(inputs)
         _blocked_scan(m, X, 0.1, -0.2)
-        # in place on inputs: the carry with (M^L)^T squared in each round,
-        # then the same Toeplitz level
-        P, W = _toeplitz(m)
-        F = inputs.reshape(n_blocks, 2 * BLOCK)
+        # on a copy of the inputs: the carry of M s with (M^L)^T squared by @
+        # in each round, the fold, then the same Toeplitz level, chunk by chunk
+        P, W, WN = _toeplitz(m)
+        F = inputs.reshape(n_blocks, 2 * BLOCK).copy()
+        m00, m01, m10, m11 = m
         S = np.empty((n_blocks, 2))
-        S[0] = 0.1, -0.2
-        np.matmul(F[:-1], W[:, -2:], out=S[1:])
+        S[0] = m00 * 0.1 + m01 * -0.2, m10 * 0.1 + m11 * -0.2
+        S[1:] = F[:-1] @ WN
         PT, d = P[0], 1
         while d < n_blocks:
             S[d:] += S[:-d] @ PT
             PT, d = PT @ PT, 2 * d
-        m00, m01, m10, m11 = m
-        F[:, 0] += m00 * S[:, 0] + m01 * S[:, 1]
-        F[:, 1] += m10 * S[:, 0] + m11 * S[:, 1]
-        for i in range(0, n_blocks, CHUNK):
-            np.matmul(F[i:i + CHUNK], W, out=F[i:i + CHUNK])
-        assert X.tobytes() == inputs.tobytes()
+        F[:, :2] += S
+        states = np.concatenate([F[i:i + CHUNK] @ W for i in range(0, n_blocks, CHUNK)])
+        assert X[:len(inputs)].tobytes() == states.tobytes()
 
     def test_a_run_past_the_powers_fails_loudly(self, monkeypatch):
         # a run of 2**r blocks needs r rounds, and one more block another
         # round; with only 2 powers, 4 blocks run and 5 raise
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.08, tau_v=0.08)
         m, _ = _propagator(p, 1.0 / 6400)
-        P, W = _toeplitz(m)
+        P, W, WN = _toeplitz(m)
         inputs = np.random.default_rng(8).normal(size=(5 * BLOCK, 2))
-        whole = inputs.copy()
-        _blocked_scan(m, whole[:4 * BLOCK], 0.1, -0.2)
-        monkeypatch.setattr(rafsim.core, "_toeplitz", lambda m: (P[:2], W))
-        X = inputs.copy()
-        _blocked_scan(m, X[:4 * BLOCK], 0.1, -0.2)
+        whole, _ = scan_buffer(inputs[:4 * BLOCK])
+        _blocked_scan(m, whole, 0.1, -0.2)
+        monkeypatch.setattr(rafsim.core, "_toeplitz", lambda m: (P[:2], W, WN))
+        X, _ = scan_buffer(inputs[:4 * BLOCK])
+        _blocked_scan(m, X, 0.1, -0.2)
         assert X.tobytes() == whole.tobytes()
         with pytest.raises(IndexError):
-            _blocked_scan(m, inputs.copy(), 0.1, -0.2)
+            _blocked_scan(m, scan_buffer(inputs)[0], 0.1, -0.2)
 
     def test_unused_powers_that_overflow_raise_no_warning(self):
         # M = [[1, -1e300], [0, 1]] is defective, and its powers grow by
@@ -1093,7 +1128,7 @@ class TestPropagator:
         _toeplitz.cache_clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            P, _ = _toeplitz(m)
+            P = _toeplitz(m)[0]
         assert np.isfinite(P[:23]).all() and not np.isfinite(P[23:]).all(axis=(1, 2)).any()
         # a short run reads only finite powers and gives the loop's states
         assert_matches_loop(p, InputSignal(), 1.0, 4 * BLOCK, NeuronState(0.0, 1e-300))
@@ -1104,25 +1139,26 @@ class TestPropagator:
     @pytest.mark.parametrize("critical", [False, True])
     def test_w_rows_are_the_loops_response_to_a_unit_input(self, critical):
         # row 2j + c of W holds the states (u, v) of each step of a block,
-        # interleaved, after a unit input on component c at step j
+        # interleaved, after a unit input on component c at step j, and row
+        # 2j + c of WN the state one step past the block, at step L
         if critical:
             p, dt = critical_params(TWO_PI * 377.0), 1e-4
         else:
             p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
             dt = 1.0 / (64 * 250)
         m = transition_terms(p.omega_u, p.omega_v, p.k_u, p.k_v, dt)
-        _, W = _toeplitz(m)
+        _, W, WN = _toeplitz(m)
         for j in range(BLOCK):
             for c in range(2):
-                X = np.zeros((BLOCK, 2))
+                X = np.zeros((BLOCK + 1, 2))
                 X[j, c] = 1.0
                 _loop_scan(m, X, 0.0, 0.0)
-                assert W[2 * j + c].tobytes() == X.tobytes(), (j, c)
+                assert W[2 * j + c].tobytes() == X[:BLOCK].tobytes(), (j, c)
+                assert WN[2 * j + c].tobytes() == X[BLOCK].tobytes(), (j, c)
 
     def test_cached_arrays_are_read_only(self):
         m, _ = _propagator(RafParams(omega_u=1.0, omega_v=2.0), 1e-3)
-        P, W = _toeplitz(m)
-        for array in (P, W):
+        for array in _toeplitz(m):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
 
@@ -1178,14 +1214,15 @@ class TestResonanceResponse:
         rng = np.random.default_rng(12)
         n_blocks = 3 * CHUNK + 5
         inputs = rng.normal(size=(n_blocks * BLOCK, 2))
-        whole = inputs.copy()
+        whole, _ = scan_buffer(inputs)
         _blocked_scan(m, whole, 0.1, -0.2)
         for first in range(0, n_blocks, 3):
-            X = inputs.copy()
+            X, _ = scan_buffer(inputs)
+            before = X.copy()
             _blocked_scan(m, X, 0.1, -0.2, first)
-            start = first // CHUNK * CHUNK * BLOCK
-            assert X[start:].tobytes() == whole[start:].tobytes(), first
-            assert X[:start].tobytes() == inputs[:start].tobytes(), first
+            start, end = first // CHUNK * CHUNK * BLOCK, len(inputs)
+            assert X[start:end].tobytes() == whole[start:end].tobytes(), first
+            assert X[:start].tobytes() == before[:start].tobytes(), first
 
     @pytest.mark.parametrize("amplitude, duration", [
         (1e308, 10.0),  # first non-finite at step 237, before the window at 384
@@ -1633,8 +1670,9 @@ class TestNumbersEnterAsFloats:
         assert (type(state.u), type(new.u), type(new.v), type(spiked)) == (float, float,
                                                                           float, bool)
 
-    @pytest.mark.parametrize("value", [Decimal("0.001"), "0.001", None, 1e-3 + 0j],
-                             ids=["decimal", "str", "none", "complex"])
+    @pytest.mark.parametrize("value", [Decimal("0.001"), "0.001", None, 1e-3 + 0j,
+                                       np.array(1e-3), [1e-3]],
+                             ids=["decimal", "str", "none", "complex", "0d_array", "list"])
     def test_a_value_that_is_not_a_real_number_is_named_where_it_enters(self, value):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.05)
         state = NeuronState(0.1, -0.2)
