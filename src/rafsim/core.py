@@ -232,21 +232,22 @@ class InputSignal:
         given (test_coincident_events_out_of_order_match_in_order_loop). An
         event at or past the horizon n_steps*dt raises ValueError
         (test_events_at_or_past_the_horizon_are_rejected); so do a bad dt,
-        checked first, and a bad n_steps, checked after the horizon
+        checked first, and a bad n_steps, checked after the horizon: only a
+        real number is compared with the horizon, so any other n_steps, such
+        as a str or None, is named as n_steps
         (test_impulse_increments_rejects_a_bad_n_steps).
         """
         dt = _check_positive("dt", dt)
         # a quotient that overflows gives inf, and numpy flags it as over and invalid
         with np.errstate(over="ignore", invalid="ignore"):
             steps = np.floor_divide(self.events[:, 0], dt)
-        if len(steps) and steps[-1] >= n_steps:
+        if len(steps) and isinstance(n_steps, numbers.Real) and steps[-1] >= n_steps:
             raise ValueError(f"event at time {float(self.events[-1, 0])!r} is at or past the "
                              f"horizon {n_steps} * {dt!r} = {n_steps * dt!r}")
         _check_count("n_steps", n_steps)
-        if not len(steps):  # bincount would give int64 zeros
-            return np.zeros(n_steps)
+        # as float: without events, bincount gives int64 zeros
         return np.bincount(steps.astype(np.int64), weights=self.events[:, 1],
-                           minlength=n_steps)
+                           minlength=n_steps).astype(float, copy=False)
 
 
 @dataclass
@@ -305,30 +306,32 @@ class StateTrace:
         to_csv writes t[0] = 1*dt, so dt = t[0] (test_trace_csv_roundtrip,
         test_trace_csv_roundtrip_one_row), and every t it writes is (i+1)*dt
         exactly. A file with no rows (test_trace_csv_without_rows_is_an_error),
-        with a column count other than 4, with a z other than 0 or 1
+        with a column count other than 4, a row that numpy cannot parse,
+        ragged or not a number, or a z other than 0 or 1
         (test_trace_csv_with_a_bad_column_is_an_error), with a t other than
         (i+1)*dt for that dt, named at its sample, or with a dt that is not
         finite and > 0 (test_trace_csv_with_a_t_off_the_grid_is_an_error)
-        raises ValueError naming the file; StateTrace checks z and dt. u and v
-        are read as written, non-finite too, as StateTrace takes them.
+        raises ValueError; StateTrace checks z and dt. One except names the
+        file for all of them: "trace file '<path>'", then the error's own
+        text, less StateTrace's leading "trace". u and v are read as
+        written, non-finite too, as StateTrace takes them.
         """
-        with warnings.catch_warnings():  # a file without rows raises below instead
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if not len(rows):
-            raise ValueError(f"trace file {str(path)!r} has no rows")
-        if rows.shape[1] != 4:
-            raise ValueError(f"trace file {str(path)!r} has {rows.shape[1]} columns, "
-                             f"expected 4 (t, u, v, z)")
-        t, u, v, z = rows.T
-        try:  # StateTrace checks dt and z first; its messages name the trace, these the file
-            trace = cls(dt=t[0], u=u, v=v, z=z)
+        try:
+            with warnings.catch_warnings():  # a file without rows raises below instead
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            if not len(rows):
+                raise ValueError("has no rows")
+            if rows.shape[1] != 4:
+                raise ValueError(f"has {rows.shape[1]} columns, expected 4 (t, u, v, z)")
+            t, u, v, z = rows.T
+            trace = cls(dt=t[0], u=u, v=v, z=z)  # checks dt and z first
+            bad = np.flatnonzero(t != trace.times)  # NaN too
+            if len(bad):
+                raise ValueError(f"has t = {float(t[bad[0]])!r} at sample {bad[0]}, "
+                                 f"expected (i+1)*dt = {float(trace.times[bad[0]])!r}")
         except ValueError as e:
-            raise ValueError(f"trace file {str(path)!r}{str(e).removeprefix('trace')}") from None
-        bad = np.flatnonzero(t != trace.times)  # NaN too
-        if len(bad):
-            raise ValueError(f"trace file {str(path)!r} has t = {float(t[bad[0]])!r} at sample "
-                             f"{bad[0]}, expected (i+1)*dt = {float(trace.times[bad[0]])!r}")
+            raise ValueError(f"trace file {str(path)!r} {str(e).removeprefix('trace ')}") from None
         return trace
 
 
@@ -484,9 +487,10 @@ def _propagator(params: RafParams, dt: float):
 
     m = (m00, m01, m10, m11) = transition_terms(...) holds M = exp(A*dt),
     and b = (b0, b1) = input_vector(params, dt) bit for bit
-    (test_b_is_input_vector_bit_for_bit). A bad dt raises ValueError before
-    either is built: transition_terms would take a negative one, and can
-    overflow on it (test_every_entry_point_rejects_bad_dt). The key
+    (test_b_is_input_vector_bit_for_bit). b is built first, so that
+    input_vector's own dt check raises ValueError on a bad dt before M is
+    built: transition_terms would take a negative one, and can overflow on
+    it (test_every_entry_point_rejects_bad_dt). The key
     is the caller's params, so an error raised while building names them
     (test_errors_name_the_callers_params), and dt one ulp apart do not
     share (test_dt_one_ulp_apart_do_not_share). Warm and cold caches give
@@ -500,9 +504,8 @@ def _propagator(params: RafParams, dt: float):
     (test_a_second_sweep_builds_no_b); an LRU cache smaller than the cycle
     would miss on every key.
     """
-    dt = _check_positive("dt", dt)
-    return (transition_terms(params.omega_u, params.omega_v, params.k_u, params.k_v, dt),
-            tuple(input_vector(params, dt).tolist()))
+    b = tuple(input_vector(params, dt).tolist())
+    return transition_terms(params.omega_u, params.omega_v, params.k_u, params.k_v, dt), b
 
 
 def _w_index(L):
@@ -610,13 +613,13 @@ def _run(params, dt, n_steps, currents, increments, state=NeuronState(), first=0
     only its steady window. currents (state units / s, held over each step)
     and increments (impulses added to u) are per-step arrays of n_steps
     values, or None for none. M and b come from ``_propagator``, which checks
-    dt. The buffer holds min(CHUNK, n_blocks) blocks of headroom, then the
-    inputs (``_forcing``), zero-padded to whole blocks of BLOCK steps, and
-    ``_blocked_scan`` writes the states of the chunks from the one holding
-    step first on into it, step k at row k: each chunk lands one headroom
-    before its inputs, so no matmul copies its input (see
-    ``_blocked_scan``). The headroom adds at most CHUNK * BLOCK (u, v)
-    pairs, 64 KiB.
+    dt. The buffer holds one chunk of headroom, CHUNK * BLOCK (u, v) pairs
+    or 64 KiB, then the inputs (``_forcing``), zero-padded to whole blocks
+    of BLOCK steps, and ``_blocked_scan`` writes the states of the chunks
+    from the one holding step first on into it, step k at row k: each chunk
+    lands one chunk before its inputs, so no matmul copies its input (see
+    ``_blocked_scan``). A run shorter than a chunk writes only its own
+    blocks of the headroom, and the rest is never touched.
 
     Repair: those states are checked once. If one is not finite, the
     inputs are written anew into their own rows, which the scan has folded
@@ -632,7 +635,7 @@ def _run(params, dt, n_steps, currents, increments, state=NeuronState(), first=0
     """
     m, b = _propagator(params, dt)
     n_blocks = -(-n_steps // BLOCK)
-    h = min(CHUNK, n_blocks) * BLOCK  # the headroom's rows
+    h = CHUNK * BLOCK  # the headroom's rows
     X = np.empty((h + n_blocks * BLOCK, 2))
     X[h + n_steps:] = 0.0  # the pad rows: zero past the run
     with np.errstate(over="ignore", invalid="ignore"):
@@ -670,13 +673,13 @@ def _forcing(b, currents, increments, out):
 def _blocked_scan(m, X, u, v, first=0):
     """Write the states of x[i] = M x[i-1] + f[i] from x[-1] = (u, v) into X[:n_blocks * L].
 
-    X is a C-ordered ((h + n_blocks) * L, 2) array for L = BLOCK: h =
-    min(CHUNK, n_blocks) blocks of headroom, then the per-step (u, v) inputs
-    f, zero past the run. m = (m00, m01, m10, m11) holds M, and
+    X is a C-ordered ((CHUNK + n_blocks) * L, 2) array for L = BLOCK: one
+    chunk of headroom, CHUNK blocks, then the per-step (u, v) inputs f, zero
+    past the run. m = (m00, m01, m10, m11) holds M, and
     ``_toeplitz(m)`` gives the carry's powers P, with the runs they cover,
     the block-Toeplitz matrix W and the unit response WN one step past a
     block.
-    Seen as (h + n_blocks, 2 * L), each row of X is one block, and a block
+    Seen as (CHUNK + n_blocks, 2 * L), each row of X is one block, and a block
     that starts from state s runs as if from zero with t = M s added to its
     first input: x[i] = sum_{j<=i} M^(i-j) f[j] with f[0] += t, that is the
     block's row times W, the scan's one Toeplitz level. The carried values
@@ -705,14 +708,16 @@ def _blocked_scan(m, X, u, v, first=0):
     the carry's rounds and P's squarings as in the Toeplitz level.
 
     Where the states land: the end states are read first, then each chunk's
-    matmul reads its folded inputs, h blocks on in X, and writes their
-    states h blocks earlier, at the blocks' own rows, into headroom or
+    matmul reads its folded inputs, CHUNK blocks on in X, and writes their
+    states CHUNK blocks earlier, at the blocks' own rows, into headroom or
     inputs that the end states' matmul or the previous chunk has already
-    read. No matmul's output shares memory with its input, so numpy copies
-    no input first (test_no_matmul_of_the_scan_writes_over_its_input). The
-    rows before the first chunk's keep their values; the inputs past the
-    states may be folded. ``_loop_scan`` runs the same recurrence in place,
-    on the inputs' own rows, with one plain step per row.
+    read; a run shorter than a chunk writes only its own blocks of the
+    headroom. No matmul's output shares memory with its input, so numpy
+    copies no input first
+    (test_no_matmul_of_the_scan_writes_over_its_input). The rows before the
+    first chunk's keep their values; the inputs past the states may be
+    folded. ``_loop_scan`` runs the same recurrence in place, on the inputs'
+    own rows, with one plain step per row.
 
     Precision: the bounds cover the whole scan, the Toeplitz level's sums
     and the carry's rounds and P's squarings together. Within SCAN_RTOL =
@@ -726,21 +731,20 @@ def _blocked_scan(m, X, u, v, first=0):
     float entries (test_scan_against_the_exact_recurrence, up to 300k steps).
     """
     F = X.reshape(-1, 2 * BLOCK)  # a view, so the scan writes into X
-    h = min(CHUNK, len(F) // 2)  # the headroom's blocks
-    n_blocks = len(F) - h
+    n_blocks = len(F) - CHUNK
     P, W, WN = _toeplitz(m)
     m00, m01, m10, m11 = m
     S = np.empty((n_blocks, 2))  # M s, then M e of blocks 0..n_blocks-2; each t after
     S[0] = m00 * u + m01 * v, m10 * u + m11 * v  # the loop's own operations: step 0 is step()'s
-    np.matmul(F[h:-1], WN, out=S[1:])
+    np.matmul(F[CHUNK:-1], WN, out=S[1:])
     for r in range((n_blocks - 1).bit_length()):  # d = 2**r = 1, 2, 4, ... < n_blocks
         d = 1 << r
         S[d:] += np.dot(S[:-d], P[r])  # the right side is read first
     start = first // CHUNK * CHUNK
-    F[h + start:, 0] += S[start:, 0]
-    F[h + start:, 1] += S[start:, 1]
+    F[CHUNK + start:, 0] += S[start:, 0]
+    F[CHUNK + start:, 1] += S[start:, 1]
     for i in range(start, n_blocks, CHUNK):
-        np.matmul(F[h + i:h + i + CHUNK], W, out=F[i:min(i + CHUNK, n_blocks)])
+        np.matmul(F[CHUNK + i:2 * CHUNK + i], W, out=F[i:min(i + CHUNK, n_blocks)])
 
 
 def _loop_scan(m, X, u, v):

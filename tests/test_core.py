@@ -133,10 +133,10 @@ def loop_reference(p, signal, dt, n_steps, state=NeuronState()):
 def scan_buffer(inputs):
     """(X, h): inputs of whole blocks behind h rows of headroom, as _run lays out a scan.
 
-    h is min(CHUNK, n_blocks) blocks. The headroom is NaN, so a state that
+    h is one chunk, CHUNK * BLOCK rows. The headroom is NaN, so a state that
     reads it is not finite; _blocked_scan writes the states into X[:len(inputs)].
     """
-    h = min(CHUNK, len(inputs) // BLOCK) * BLOCK
+    h = CHUNK * BLOCK
     X = np.full((h + len(inputs), 2), np.nan)
     X[h:] = inputs
     return X, h
@@ -1455,10 +1455,12 @@ class TestTypesAndValidation:
             assert a.tobytes() == b.tobytes()
         assert np.isfinite(signal.dense).all()
 
-    # with an event in step 0, an n_steps below 1 puts it past the horizon, which is named first
+    # with an event in step 0, an n_steps below 1 puts it past the horizon, which is named
+    # first; an n_steps that is not a real number is not compared with the horizon
     @pytest.mark.parametrize("events, n_steps", [
-        (None, 2.5), (None, 10.0), (None, -1), (None, 0), (None, True),
-        ([(0.0, 1.0)], 2.5), ([(0.0, 1.0)], 10.0), ([(0.0, 1.0)], True),
+        (None, 2.5), (None, 10.0), (None, -1), (None, 0), (None, True), (None, "10"),
+        (None, None), ([(0.0, 1.0)], 2.5), ([(0.0, 1.0)], 10.0), ([(0.0, 1.0)], True),
+        ([(0.0, 1.0)], "10"), ([(0.0, 1.0)], None),
     ])
     def test_impulse_increments_rejects_a_bad_n_steps(self, events, n_steps):
         signal = InputSignal(events=events)
@@ -1560,7 +1562,11 @@ class TestTypesAndValidation:
          "has z = 300.0 at sample 2"),
         ("t,u,v,z", ["0.1,0.5,-0.5,-1", "0.2,0.25,0.5,0"], "has z = -1.0 at sample 0"),
         ("t,u,v,z", ["0.1,0.5,-0.5,1", "0.2,0.25,0.5,nan"], "has z = nan at sample 1"),
-    ], ids=["three_columns", "five_columns", "z_fraction", "z_300", "z_negative", "z_nan"])
+        # numpy's own parse errors, named after the file too
+        ("t,u,v,z", ["0.1,0.5,-0.5,1", "0.2,0.25,0.5"], "the number of columns changed"),
+        ("t,u,v,z", ["0.1,abc,-0.5,1"], "could not convert string 'abc'"),
+    ], ids=["three_columns", "five_columns", "z_fraction", "z_300", "z_negative", "z_nan",
+            "ragged_row", "non_numeric_row"])
     def test_trace_csv_with_a_bad_column_is_an_error(self, tmp_path, header, rows, message):
         path = tmp_path / "trace.csv"
         path.write_text(header + "\n" + "".join(row + "\n" for row in rows))
@@ -1754,3 +1760,14 @@ class TestNumbersEnterAsFloats:
             assert signal.dense.dtype == np.float64
             assert signal.dense.tolist() == np.asarray(dense, dtype=float).tolist()
         assert signal.events.dtype == np.float64 and signal.events.shape == (len(events), 2)
+
+
+def test_every_test_that_core_cites_is_defined():
+    # core.py's docstrings cite the test that asserts each bound, so a
+    # renamed or deleted test must not leave a stale contract behind
+    with open(rafsim.core.__file__) as fh:
+        cited = set(re.findall(r"\btest_\w+", fh.read())) - {"test_core"}
+    with open(__file__) as fh:
+        defined = set(re.findall(r"^\s*def (test_\w+)", fh.read(), re.MULTILINE))
+    assert cited
+    assert sorted(cited - defined) == []
