@@ -104,9 +104,17 @@ def _check_positive(name, value):
 
 
 def _check_count(name, value):
-    """A count is an integer >= 1; numpy integers pass, bool does not."""
+    """value as a Python int >= 1: the one way a count enters this module.
+
+    Any numbers.Integral but bool passes, and the caller computes with the
+    int returned, as with _check_finite's float, so a numpy integer such as
+    np.int8(100) or np.uint64(100) runs as int(value), never in its own
+    type, whose arithmetic can wrap or raise
+    (test_accepts_a_numpy_integer_n_steps).
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -243,8 +251,8 @@ class InputSignal:
             steps = np.floor_divide(self.events[:, 0], dt)
         if len(steps) and isinstance(n_steps, numbers.Real) and steps[-1] >= n_steps:
             raise ValueError(f"event at time {float(self.events[-1, 0])!r} is at or past the "
-                             f"horizon {n_steps} * {dt!r} = {n_steps * dt!r}")
-        _check_count("n_steps", n_steps)
+                             f"horizon {n_steps} * {dt!r} = {float(n_steps * dt)!r}")
+        n_steps = _check_count("n_steps", n_steps)
         # as float: without events, bincount gives int64 zeros
         return np.bincount(steps.astype(np.int64), weights=self.events[:, 1],
                            minlength=n_steps).astype(float, copy=False)
@@ -399,9 +407,11 @@ def input_vector(params: RafParams, dt: float) -> np.ndarray:
     the integral of the other column, so b keeps its value where that one
     would overflow (test_an_overflow_in_gs_second_column_leaves_b_finite). No
     eigenvalue formula is used, so a singular A is no special case
-    (test_singular_generators). exp(A*h_i)'s bits follow libm, and the
-    matrix-vector products give b the rounding of the BLAS kernel that runs
-    them.
+    (test_singular_generators). exp(A*h_i)'s bits follow libm. Without a
+    doubling, where max|A|*dt <= 0.5, b has the same bits under every BLAS
+    kernel (test_b_without_a_doubling_does_not_follow_the_blas_kernel); the
+    doublings' matrix-vector products give a doubled b the rounding of the
+    BLAS kernel that runs them.
 
     Precision: within max(4 + 4*n, max|A|*dt / 2) eps of the largest |b|
     at the steps dt / 2**j, j <= n, of the series summed exactly and rounded
@@ -595,7 +605,7 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
     (test_simulate_allocates_at_most_four_arrays_of_its_length), and it
     repeats bit for bit on one libm and one BLAS kernel.
     """
-    _check_count("n_steps", n_steps)
+    n_steps = _check_count("n_steps", n_steps)
     dt = _check_positive("dt", dt)
     currents = input_signal.dense
     if currents is not None and len(currents) != n_steps:
@@ -771,16 +781,16 @@ def _loop_scan(m, X, u, v):
 
 
 def resonance_response(params: RafParams, drive_frequency: float,
-                       drive_amplitude: float, duration: float,
-                       steps_per_cycle: int = 64) -> float:
+                       drive_amplitude: float, duration: float) -> float:
     """Peak |v| over the steady portion of a sinusoidally driven run.
 
     The drive current amp*sin(2*pi*f*t) is sampled at step midpoints
-    (``_sine_drive``) and applied zero-order-hold, at
-    dt = 1/(steps_per_cycle * max(f, resonance frequency)): every drive
-    frequency below resonance runs at one dt and so shares the cached
-    propagators. The first 60% of the run is discarded as transient, so
-    duration should cover several decay times.
+    (``_sine_drive``) and applied zero-order-hold, always at 64 steps per
+    cycle, dt = 1/(64 * max(f, resonance frequency)): every drive frequency
+    below resonance runs at one dt and so shares the cached propagators. A
+    finer sweep is one simulate call per point at the caller's dt. The first
+    60% of the run is discarded as transient, so duration should cover
+    several decay times.
 
     The result is max|v| over simulate's trace from step int(0.6*n_steps)
     on, bit for bit (test_equals_the_peak_of_simulates_window_bit_for_bit).
@@ -792,21 +802,20 @@ def resonance_response(params: RafParams, drive_frequency: float,
 
     Each argument is checked at entry, and a bad one raises ValueError
     naming it (test_rejects_bad_arguments_at_entry): so does a
-    steps_per_cycle for which 1/dt overflows, and a duration that rounds to
+    drive_frequency for which 1/dt overflows, and a duration that rounds to
     fewer than 2 steps (test_rejects_a_duration_under_two_steps) or to more
     steps than a float holds.
     """
     drive_frequency = _check_positive("drive_frequency", drive_frequency)
     drive_amplitude = _check_finite("drive_amplitude", drive_amplitude)
     duration = _check_positive("duration", duration)
-    _check_count("steps_per_cycle", steps_per_cycle)
     f_ref = max(drive_frequency, params.resonance_frequency)
-    try:  # an int past the float range overflows, and so can 1/dt, giving dt = 0
-        dt = 1.0 / (float(steps_per_cycle) * f_ref)
+    try:  # 1/dt can overflow to inf, giving dt = 0
+        dt = 1.0 / (64.0 * f_ref)
         steps = duration / dt
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"steps_per_cycle must be small enough that 1/dt is finite, got "
-                         f"{steps_per_cycle!r} at drive_frequency = {drive_frequency!r}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"drive_frequency must be small enough that 1/dt is finite, got "
+                         f"{drive_frequency!r}, with 1/dt = 64 * {f_ref!r}") from None
     if not math.isfinite(steps):
         raise ValueError(f"duration must be a finite number of steps, got {duration!r}: "
                          f"duration / dt overflows at dt = {dt!r}")

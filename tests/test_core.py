@@ -107,6 +107,14 @@ def raf_params(draw, allow_overdamped=True):
     return RafParams(omega_u=omega_u, omega_v=omega_v, tau_u=tau_u, tau_v=tau_v)
 
 
+def child_lines(code, arg, **env):
+    """stdout lines of python -c code with sys.argv[1] = repr(arg), rafsim importable, env set."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, (
+        os.path.dirname(os.path.dirname(rafsim.__file__)), os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code, repr(arg)], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout.splitlines()
+
+
 def critical_omega(w: float) -> float:
     """Nudge w until tau_u = 1/(2w) gives disc == 0 exactly (tau_v = inf)."""
     while 1.0 / (1.0 / (2.0 * w)) != 2.0 * w:
@@ -311,18 +319,11 @@ class TestTransitionMatrix:
                 (w3, w3, 2.0 * w3, 0.0, 1 / 6400)]  # critical: disc = w3*w3 - w3*w3
         entries = [transition_terms(*k) for k in keys]
         assert all(type(x) is float for m in entries for x in m)
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4",
-                   PYTHONPATH=os.pathsep.join(filter(None, (
-                       os.path.dirname(os.path.dirname(rafsim.__file__)),
-                       os.environ.get("PYTHONPATH")))))
-        child = subprocess.run(
-            [sys.executable, "-c",
-             "import ast, sys; from rafsim.core import transition_terms\n"
-             "for k in ast.literal_eval(sys.argv[1]):\n"
-             "    print(*(x.hex() for x in transition_terms(*k)))",
-             repr(keys)],
-            env=env, capture_output=True, text=True, check=True, timeout=120)
-        assert child.stdout.splitlines() == [" ".join(x.hex() for x in m) for m in entries]
+        child = child_lines("import ast, sys; from rafsim.core import transition_terms\n"
+                            "for k in ast.literal_eval(sys.argv[1]):\n"
+                            "    print(*(x.hex() for x in transition_terms(*k)))",
+                            keys, NPY_DISABLE_CPU_FEATURES="X86_V4")
+        assert child == [" ".join(x.hex() for x in m) for m in entries]
 
 
 class TestInputVector:
@@ -443,6 +444,26 @@ class TestInputVector:
         # doubling i reads exp(A*h_i) at h_i = dt / 2**(doublings - i)
         assert calls == [(p.omega_u, p.omega_v, p.k_u, p.k_v, dt / 2**(doublings - i))
                          for i in range(doublings)]
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="Sandybridge and Haswell are x86-64 OpenBLAS kernels")
+    def test_b_without_a_doubling_does_not_follow_the_blas_kernel(self):
+        # max|A|*dt <= 0.5, so b is the series alone, whose bits the sweep's
+        # and a long trace's cross-kernel equality rest on; a doubled b's
+        # matrix-vector products round as the kernel does, with or without FMA
+        w, f0 = TWO_PI * 200, TWO_PI * 1e5
+        keys = [((w, w, 60 / w, 60 / w), 1 / (64 * 317.0)),  # a sweep point above resonance
+                ((f0, f0, 2e4 / f0, 2e4 / f0), 1 / (4096 * 1e5)),  # high Q, 4096 steps per cycle
+                ((TWO_PI * 50, TWO_PI * 50, 1 / (4 * TWO_PI * 50), 1.0), 1e-4)]  # overdamped
+        params = [(RafParams(*k), dt) for k, dt in keys]
+        assert all(max(p.omega_u, p.omega_v, p.k_u, p.k_v) * dt <= 0.5 for p, dt in params)
+        b = [" ".join(x.hex() for x in input_vector(p, dt).tolist()) for p, dt in params]
+        for core in ("Sandybridge", "Haswell"):
+            child = child_lines("import ast, sys; from rafsim.core import RafParams, input_vector\n"
+                                "for k, dt in ast.literal_eval(sys.argv[1]):\n"
+                                "    print(*(x.hex() for x in input_vector(RafParams(*k), dt)))",
+                                keys, OPENBLAS_CORETYPE=core)
+            assert child == b, core
 
     def test_an_overflow_in_gs_second_column_leaves_b_finite(self):
         # A*e1 = 0, so b = (dt, 0) and M = [[1, -1e305], [0, 1]] are finite; the
@@ -663,10 +684,23 @@ class TestSimulate:
         with pytest.raises(ValueError, match=f"^n_steps must be an integer >= 1, got {n_steps!r}"):
             simulate(p, InputSignal(), 1e-3, n_steps)
 
-    def test_accepts_a_numpy_integer_n_steps(self):
+    # in its own type, all but the int64 would wrap or raise in _run's buffer
+    # size: 4096 rows of headroom do not fit an int8 or a uint8, -n_steps wraps
+    # a uint64, and 4096 + 30_000 wraps an int16
+    @pytest.mark.parametrize("n_steps", [np.int64(5), np.int8(100), np.uint8(100),
+                                         np.uint64(100), np.int16(30_000)], ids=repr)
+    def test_accepts_a_numpy_integer_n_steps(self, n_steps):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.05)
-        trace = simulate(p, InputSignal.impulse(1.0), 1e-4, np.int64(5))
-        np.testing.assert_array_equal(trace.v, simulate(p, InputSignal.impulse(1.0), 1e-4, 5).v)
+        dense = np.random.default_rng(3).normal(size=int(n_steps))
+        signal = InputSignal(dense=dense, events=[(0.0, 1.0), (int(n_steps) * 0.5e-4, -0.5)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = simulate(p, signal, 1e-4, n_steps)
+        expected = simulate(p, signal, 1e-4, int(n_steps))
+        assert len(trace) == n_steps
+        assert type(trace.metadata["n_steps"]) is int
+        for got, want in ((trace.u, expected.u), (trace.v, expected.v), (trace.z, expected.z)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestScanKernel:
@@ -702,6 +736,7 @@ class TestScanKernel:
     def test_block_edges(self, n_steps):
         p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
         dt = 1.0 / (64 * 250)
+        assert len(simulate(p, InputSignal(), dt, n_steps)) == n_steps
         assert_matches_loop(p, mixed_input(p, dt, n_steps, n_steps), dt, n_steps,
                             NeuronState(0.4, -0.7))
 
@@ -1163,9 +1198,9 @@ class TestPropagator:
                 array[0, 0] = 1.0
 
 
-def simulated_response(p, frequency, amplitude, duration, steps_per_cycle=64):
+def simulated_response(p, frequency, amplitude, duration):
     """resonance_response by its definition: max|v| over simulate's steady window."""
-    dt = 1.0 / (steps_per_cycle * max(frequency, p.resonance_frequency))
+    dt = 1.0 / (64 * max(frequency, p.resonance_frequency))
     n_steps = int(round(duration / dt))
     drive = _sine_drive(frequency, amplitude, dt, n_steps)
     trace = simulate(p, InputSignal(dense=drive), dt, n_steps)
@@ -1194,16 +1229,14 @@ class TestResonanceResponse:
             assert math.cos(math.pi / 64) <= response / gain <= 1.005, f
 
     @settings(max_examples=60, deadline=None)
-    @given(raf_params(), st.floats(0.2, 5.0), st.integers(2, 40_000),
-           st.integers(1, 128), st.floats(-3.0, 3.0))
-    def test_equals_the_peak_of_simulates_window_bit_for_bit(self, p, ratio, n_steps,
-                                                               steps_per_cycle, amplitude):
+    @given(raf_params(), st.floats(0.2, 5.0), st.integers(2, 40_000), st.floats(-3.0, 3.0))
+    def test_equals_the_peak_of_simulates_window_bit_for_bit(self, p, ratio, n_steps, amplitude):
         # the scan of the window's chunks alone gives simulate's states there
         f_ref = p.resonance_frequency or math.sqrt(p.omega_u * p.omega_v) / TWO_PI
         frequency = ratio * f_ref
-        duration = n_steps / (steps_per_cycle * max(frequency, p.resonance_frequency))
-        assert (resonance_response(p, frequency, amplitude, duration, steps_per_cycle)
-                == simulated_response(p, frequency, amplitude, duration, steps_per_cycle))
+        duration = n_steps / (64 * max(frequency, p.resonance_frequency))
+        assert (resonance_response(p, frequency, amplitude, duration)
+                == simulated_response(p, frequency, amplitude, duration))
 
     def test_a_scan_from_a_later_block_writes_the_whole_scans_bits(self):
         # the scan starts at the chunk holding block first, so each row it
@@ -1260,17 +1293,11 @@ class TestResonanceResponse:
         ({"duration": 0.0}, "duration"),
         ({"duration": math.nan}, "duration"),
         ({"duration": math.inf}, "duration"),
-        ({"steps_per_cycle": 0}, "steps_per_cycle"),
-        ({"steps_per_cycle": -64}, "steps_per_cycle"),
-        ({"steps_per_cycle": 64.5}, "steps_per_cycle"),
-        ({"steps_per_cycle": True}, "steps_per_cycle"),
         ({"drive_frequency": math.inf}, "drive_frequency"),
         ({"duration": 1e306}, "duration"),  # duration / dt overflows
         ({"drive_amplitude": math.inf}, "drive_amplitude"),
         ({"drive_amplitude": math.nan}, "drive_amplitude"),
-        # 1/dt = steps_per_cycle * drive_frequency overflows, so dt would be 0
-        ({"drive_frequency": 1e300, "steps_per_cycle": 10**10}, "steps_per_cycle"),
-        ({"steps_per_cycle": 10**400}, "steps_per_cycle"),  # past the float range
+        ({"drive_frequency": 1e307}, "drive_frequency"),  # 1/dt = 64 * 1e307 overflows
     ])
     def test_rejects_bad_arguments_at_entry(self, kwargs, name):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.05, tau_v=0.05)
@@ -1305,11 +1332,6 @@ class TestResonanceResponse:
         w = TWO_PI * frequency * dt
         bound = 2 * np.finfo(float).eps * (1 + w * n_steps) * abs(amplitude)
         assert np.max(np.abs(drive - exact)) <= bound
-
-    def test_accepts_a_numpy_integer_steps_per_cycle(self):
-        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.05, tau_v=0.05)
-        assert (resonance_response(p, 90.0, 1.0, 0.5, steps_per_cycle=np.int64(32))
-                == resonance_response(p, 90.0, 1.0, 0.5, steps_per_cycle=32))
 
 
 class TestTypesAndValidation:
@@ -1379,6 +1401,9 @@ class TestTypesAndValidation:
                     sig.impulse_increments(t_dt, n_steps)
                 with pytest.raises(ValueError, match="horizon"):
                     simulate(RafParams(omega_u=1.0, omega_v=1.0), sig, t_dt, n_steps)
+        # a numpy n_steps names the horizon as a float too
+        with pytest.raises(ValueError, match=re.escape("the horizon 8 * 0.25 = 2.0")):
+            InputSignal(events=[(2.0, 1.0)]).impulse_increments(dt, np.int64(n_steps))
 
     def test_an_event_just_below_the_horizon_is_inside(self):
         # the float 5 * 1e-4 lies below the exact product, so t/dt rounds up
@@ -1527,6 +1552,10 @@ class TestTypesAndValidation:
                        f"u {shapes['u']}, v {shapes['v']} and z {shapes['z']}")
         with pytest.raises(ValueError, match=re.escape(message)):
             StateTrace(dt=1e-3, **columns)
+
+    def test_trace_rejects_an_empty_trace(self):
+        with pytest.raises(ValueError, match="^trace must be nonempty$"):
+            StateTrace(dt=1e-3, u=[], v=[], z=[])
 
     def test_trace_keeps_1d_float64_u_and_v_and_int8_z(self):
         u = np.linspace(0.0, 1.0, 4)
