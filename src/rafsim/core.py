@@ -41,6 +41,9 @@ __all__ = [
 BLOCK = 32  # steps per block of simulate's scan
 CHUNK = 128  # blocks per matmul of simulate's scan
 ROUNDS = 48  # carry rounds whose powers _toeplitz holds: runs of up to 2**48 blocks
+# the most steps of a run whose scan buffer, 2*BLOCK*CHUNK floats and at most
+# 2*BLOCK + 2 per block (see _blocked_scan), numpy can index in bytes
+MAX_STEPS = (np.iinfo(np.intp).max // 8 - 2 * BLOCK * CHUNK) // (2 * BLOCK + 2) * BLOCK
 
 
 class SimulationError(RuntimeError):
@@ -104,16 +107,20 @@ def _check_positive(name, value):
 
 
 def _check_count(name, value):
-    """value as a Python int >= 1: the one way a count enters this module.
+    """value as a Python int from 1 to MAX_STEPS: the one way a count enters this module.
 
     Any numbers.Integral but bool passes, and the caller computes with the
     int returned, as with _check_finite's float, so a numpy integer such as
     np.int8(100) or np.uint64(100) runs as int(value), never in its own
     type, whose arithmetic can wrap or raise
-    (test_accepts_a_numpy_integer_n_steps).
+    (test_accepts_a_numpy_integer_n_steps). A count past MAX_STEPS, whose
+    arrays numpy could not index, is named before anything is allocated
+    (test_a_count_past_numpys_index_range_is_named).
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if value > MAX_STEPS:
+        raise ValueError(f"{name} must be at most MAX_STEPS = {MAX_STEPS}, got {value!r}")
     return int(value)
 
 
@@ -480,7 +487,7 @@ def step(state: NeuronState, params: RafParams, input_increment: float,
     input_increment = _check_finite("input_increment", input_increment)
     hold_current = _check_finite("hold_current", hold_current)
     (m00, m01, m10, m11), (b0, b1) = _propagator(params, dt)
-    fu, fv = input_increment + b0 * hold_current, b1 * hold_current  # summed first, as in _forcing
+    fu, fv = input_increment + b0 * hold_current, b1 * hold_current  # summed as in the scan's step 0
     u = m00 * state.u + m01 * state.v + fu
     v = m10 * state.u + m11 * state.v + fv
     if not (math.isfinite(u) and math.isfinite(v)):
@@ -532,15 +539,19 @@ def _w_index(L):
 _W_INDEX = _w_index(BLOCK)
 
 
-@functools.lru_cache(maxsize=32)
-def _toeplitz(m):
-    """(P, W, WN) of the scan for the M with entries m, cached.
+@functools.lru_cache(maxsize=31)
+def _toeplitz(m, b):
+    """(P, O, ON) of the scan for the M with entries m and the b = (b0, b1), cached.
 
     All three start from the reference loop's response to a unit input:
     ``_loop_scan`` runs once per input component c on L + 1 zero inputs but
     a 1 on c at step 0, from a zero state, so its states are
     R[k, c] = M^k e_c, the powers multiplied out in the loop's own order of
-    operations, for L = BLOCK.
+    operations, for L = BLOCK. R gives the block-Toeplitz matrix W of
+    M^0..M^(L-1) in step-major order, W[2*j + c, 2*i + r] = M^(i-j)[r, c],
+    which carries input c at step j of a block to state r at step i, in one
+    gather (``_W_INDEX``) from R behind one zero; and WN[2*j + c, r] =
+    R[L - j, c, r] = M^(L-j)[r, c], the unit response one step past the block.
 
     P: the read-only (ROUNDS, 2, 2) array of the powers that
         ``_blocked_scan``'s carry reads, P[r] = (M^(L*2**r))^T in round r.
@@ -556,25 +567,34 @@ def _toeplitz(m):
         five-level paging. Powers that a short run never reads may overflow,
         for a defective M with a large omega_v*dt, and are built without a
         warning (test_unused_powers_that_overflow_raise_no_warning).
-    W: the read-only (2*L, 2*L) block-Toeplitz matrix of M^0..M^(L-1) in
-        step-major order: W[2*j + c, 2*i + r] = M^(i-j)[r, c] carries input
-        c at step j of a block to state r at step i, so row 2*j + c is the
-        loop's response to a unit input bit for bit by construction
-        (test_w_rows_are_the_loops_response_to_a_unit_input). It is one
-        gather (``_W_INDEX``) from R behind one zero.
-    WN: the read-only (2*L, 2) matrix WN[2*j + c, r] = R[L - j, c, r] =
-        M^(L-j)[r, c], the loop's unit response one step past the block:
-        row 2*j + c is the loop's state at step L after a unit input c at
-        step j, bit for bit (same test), and a block's inputs times WN are
-        M e, its end state from zero times M, which the carry adds. WN[:2]
-        is P[0] (test_carry_is_m_multiplied_out_block_times).
+    O: the read-only (2*L + 2, 2*L) operator of the scan's Toeplitz level. Its
+        rows take a block's inputs by kind, in three contiguous groups:
+        rows j < L are W[2*j], the impulse rows, which carry a unit added
+        to u at step j; rows L and L + 1 are W[0:2], the t rows, which carry
+        the block's t = M s, its start state times M, in at step 0; and rows
+        L + 2 + j are b0*W[2*j] + b1*W[2*j + 1], the current rows, which
+        carry a current held over step j, whose ZOH input is b times it.
+        So a run's currents enter the scan as they are, L to a block and
+        with no (b0*I, b1*I) pairs formed, and each run reads the contiguous
+        rows of its own inputs: [0, L + 2) for impulses alone, [L, 2*L + 2)
+        for currents alone, all of them for both and [L, L + 2) for none.
+        Every impulse and t row is the loop's response to a unit input bit
+        for bit by construction, and every current row b0 times its
+        response on u plus b1 times its response on v, a numpy multiply and
+        add (test_w_rows_are_the_loops_response_to_a_unit_input).
+    ON: the read-only (2*L + 2, 2) end-state rows in O's layout: WN[2*j],
+        two zero rows for t, and b0*WN[2*j] + b1*WN[2*j + 1]; each is the
+        loop's state at step L after the row's unit input, bit for bit
+        (same test), and a block's inputs times ON are M e, its end state
+        from zero times M, which the carry adds. ON[0] is P[0][0], the
+        same L products (test_carry_is_m_multiplied_out_block_times).
 
-    The cache holds 32 entries, the most that a budget of 1 MiB of W allows
-    at (2*L)**2 floats each, with WN's 1 KiB besides
-    (test_cache_holds_at_most_one_mib_of_w), so up to 32 distinct M, such
-    as a sweep's, stay cached from one run to the next
-    (test_a_second_sweep_builds_no_w), and a warm run squares no power. A
-    cold build runs the 47 squarings once per M.
+    The cache holds 31 entries, the most that a budget of 1 MiB of O allows
+    at (2*L + 2) * 2*L floats each, with ON's 1 KiB and P's 1.5 KiB besides
+    (test_cache_holds_at_most_one_mib_of_w), so the 31 keys that a
+    resonance sweep cycles through (see ``_propagator``) stay cached from
+    one sweep to the next (test_a_second_sweep_builds_no_w), and a warm run
+    squares no power. A cold build runs the 47 squarings once per key.
     """
     L = BLOCK
     R = np.zeros((L + 1, 2, 2))
@@ -582,14 +602,17 @@ def _toeplitz(m):
     for c in (0, 1):
         _loop_scan(m, R[:, c], 0.0, 0.0)
     W = np.concatenate(([0.0], R.ravel()))[_W_INDEX]
-    WN = R[:0:-1].reshape(2 * L, 2)  # a copy: R[L - j, c, r] at [2*j + c, r]
+    WN = R[:0:-1].reshape(2 * L, 2)  # R[L - j, c, r] at [2*j + c, r]
+    b0, b1 = b
     P = np.empty((ROUNDS, 2, 2))
     P[0] = R[L]
     with np.errstate(over="ignore", invalid="ignore"):  # _run handles a run that reads one
+        O = np.concatenate((W[0::2], W[0:2], b0 * W[0::2] + b1 * W[1::2]))
+        ON = np.concatenate((WN[0::2], np.zeros((2, 2)), b0 * WN[0::2] + b1 * WN[1::2]))
         for r in range(ROUNDS - 1):
             P[r + 1] = P[r] @ P[r]
-    P.flags.writeable = W.flags.writeable = WN.flags.writeable = False  # shared by every hit
-    return P, W, WN
+    P.flags.writeable = O.flags.writeable = ON.flags.writeable = False  # shared by every hit
+    return P, O, ON
 
 
 def simulate(params: RafParams, input_signal: InputSignal, dt: float,
@@ -623,39 +646,31 @@ def _run(params, dt, n_steps, currents, increments, state=NeuronState(), first=0
     only its steady window. currents (state units / s, held over each step)
     and increments (impulses added to u) are per-step arrays of n_steps
     values, or None for none. M and b come from ``_propagator``, which checks
-    dt. The buffer holds one chunk of headroom, CHUNK * BLOCK (u, v) pairs
-    or 64 KiB, then the inputs (``_forcing``), zero-padded to whole blocks
-    of BLOCK steps, and ``_blocked_scan`` writes the states of the chunks
-    from the one holding step first on into it, step k at row k: each chunk
-    lands one chunk before its inputs, so no matmul copies its input (see
-    ``_blocked_scan``). A run shorter than a chunk writes only its own
-    blocks of the headroom, and the rest is never touched.
+    dt. ``_blocked_scan`` copies each kind of input as it is into its own
+    columns of the run's one buffer, and returns the states of the chunks
+    from the one holding step first on, step k at row k.
 
-    Repair: those states are checked once. If one is not finite, the
-    inputs are written anew into their own rows, which the scan has folded
-    and in part overwritten, and ``_loop_scan``, the scan's recurrence with
-    one plain step per row, turns them into states from step 0 in place:
-    the scan spreads a non-finite value over its block and, through the
-    carry, over every later block, and can overflow where the loop does
-    not. The loop's states are then the run's
-    (test_kernel_overflow_the_loop_avoids_is_repaired,
+    Repair: those states are checked once. If one is not finite,
+    ``_forcing`` writes the per-step (u, v) inputs into the state rows, and
+    ``_loop_scan``, the scan's recurrence with one plain step per row, turns
+    them into states from step 0 in place: the scan spreads a non-finite
+    value over its block and, through the carry, over every later block, and
+    can overflow where the loop does not. The loop's states are then the
+    run's (test_kernel_overflow_the_loop_avoids_is_repaired,
     test_repair_past_the_first_upper_block_is_the_loop_from_step_0), or
     SimulationError names the first step at which the state leaves the
-    finite range (test_error_names_the_first_non_finite_step).
+    finite range (test_error_names_the_first_non_finite_step). Only the
+    repair forms the (u, v) inputs: a finite run never calls ``_forcing``
+    (test_a_finite_run_never_calls_forcing).
     """
     m, b = _propagator(params, dt)
-    n_blocks = -(-n_steps // BLOCK)
-    h = CHUNK * BLOCK  # the headroom's rows
-    X = np.empty((h + n_blocks * BLOCK, 2))
-    X[h + n_steps:] = 0.0  # the pad rows: zero past the run
     with np.errstate(over="ignore", invalid="ignore"):
-        _forcing(b, currents, increments, X[h:h + n_steps])
-        _blocked_scan(m, X, state.u, state.v, first // BLOCK)
+        X = _blocked_scan(m, b, n_steps, currents, increments, state.u, state.v, first // BLOCK)
         if not np.isfinite(X[first:n_steps]).all():
-            X = X[h:]  # the inputs' rows
-            _forcing(b, currents, increments, X[:n_steps])
-            _loop_scan(m, X[:n_steps], state.u, state.v)
-            finite = np.isfinite(X[:n_steps]).all(axis=1)
+            X = X[:n_steps]
+            _forcing(b, currents, increments, X)
+            _loop_scan(m, X, state.u, state.v)
+            finite = np.isfinite(X).all(axis=1)
             if not finite.all():
                 raise SimulationError(f"non-finite state at step {int(np.argmin(finite))} "
                                       f"with {params!r}, dt={dt!r}")
@@ -663,12 +678,15 @@ def _run(params, dt, n_steps, currents, increments, state=NeuronState(), first=0
 
 
 def _forcing(b, currents, increments, out):
-    """Write the per-step inputs into every value of out, an (n_steps, 2) array.
+    """Write the per-step (u, v) inputs into every value of out, an (n_steps, 2) array.
 
     Column 0 gets the u input, b0*I plus the impulse increments, and column
     1 the v input b1*I, where I is the current held over each step (ZOH).
     currents and increments hold n_steps values each, or are None. out
     may come from np.empty (test_no_row_of_a_fresh_buffer_is_read_unwritten).
+    These pairs are ``_loop_scan``'s inputs, so only ``_run``'s repair and
+    the reference loop form them: the scan takes the currents themselves, b
+    folded into its operator (see ``_toeplitz``).
     """
     if currents is None:
         out[...] = 0.0
@@ -680,54 +698,70 @@ def _forcing(b, currents, increments, out):
         out[:, 0] += increments
 
 
-def _blocked_scan(m, X, u, v, first=0):
-    """Write the states of x[i] = M x[i-1] + f[i] from x[-1] = (u, v) into X[:n_blocks * L].
+def _blocked_scan(m, b, n_steps, currents, increments, u, v, first=0):
+    """The states of x[i] = M x[i-1] + f[i] from x[-1] = (u, v), an (n_blocks * L, 2) array.
 
-    X is a C-ordered ((CHUNK + n_blocks) * L, 2) array for L = BLOCK: one
-    chunk of headroom, CHUNK blocks, then the per-step (u, v) inputs f, zero
-    past the run. m = (m00, m01, m10, m11) holds M, and
-    ``_toeplitz(m)`` gives the carry's powers P, with the runs they cover,
-    the block-Toeplitz matrix W and the unit response WN one step past a
-    block.
-    Seen as (CHUNK + n_blocks, 2 * L), each row of X is one block, and a block
-    that starts from state s runs as if from zero with t = M s added to its
-    first input: x[i] = sum_{j<=i} M^(i-j) f[j] with f[0] += t, that is the
-    block's row times W, the scan's one Toeplitz level. The carried values
-    come first. They obey t' = M^L t + M e, where e is a block's end state
-    from zero and M e its inputs times WN, and a doubling carries them (the
+    f[i] = (increments[i] + b0*I[i], b1*I[i]) for the currents I held over
+    each step and the increments added to u, n_steps values each or None
+    for none, and L = BLOCK. m = (m00, m01, m10, m11) holds M and b = (b0,
+    b1) the ZOH input vector, and ``_toeplitz(m, b)`` gives the carry's
+    powers P, with the runs they cover, the Toeplitz level's operator O and
+    its end-state rows ON.
+
+    Each kind of input is copied in as it is, into its own columns: G holds
+    one row per block, [its L impulses | its t | its L currents], without
+    the kinds the run lacks and zero past the run, so a block of currents is
+    L contiguous values, with no (b0*I, b1*I) pairs formed. A block that
+    starts from state s runs as if from zero with t = M s entered at step 0,
+    so its states are its row of G times the rows of O in the same layout,
+    the scan's one Toeplitz level. The carried values come first. They obey
+    t' = M^L t + M e, where e is a block's end state from zero and M e its
+    inputs' columns times their rows of ON (for a run of both kinds, the
+    whole row, its t columns zeroed first), and a doubling carries them (the
     associative scan of a linear recurrence): S holds M (u, v), from the
-    loop's own operations, so that step 0 equals step() bit for bit, and
-    then the M e of every block but the last, as rows, and each round r,
-    d = 2**r = 1, 2, 4, ..., adds S[i-d] @ P[r], M^(L*d) applied to S[i-d],
-    to S[i] for i >= d. After the round for d, S[i] sums the 2*d terms up to
-    i, so ceil(log2(n_blocks)) rounds leave S holding each block's t, and
-    the fold is one add per component. Only block 0's t is made by the
-    loop's operations; the others carry BLAS's rounding of M e and of the
-    rounds. The rounds read the cached powers and square nothing: their
-    bits are those of a carry that squares P[r] @ P[r] inline
-    (test_the_carry_equals_a_doubling_that_squares_inline). Only M's own P,
-    W and WN are built, so ``_toeplitz`` misses once per distinct M
-    (test_a_cold_long_run_builds_w_once). M is never diagonalised, so a
-    defective M (critical damping) is no special case.
+    loop's own operations, then the M e of every block but the last, as
+    rows, and each round r, d = 2**r = 1, 2, 4, ..., adds S[i-d] @ P[r],
+    M^(L*d) applied to S[i-d], to S[i] for i >= d. After the round for d,
+    S[i] sums the 2*d terms up to i, so ceil(log2(n_blocks)) rounds leave S
+    holding each block's t, which is copied into its t columns. Only block
+    0's t is made by the loop's operations; the others carry BLAS's rounding
+    of M e and of the rounds. The rounds read the cached powers and square
+    nothing: their bits are those of a carry that squares P[r] @ P[r] inline
+    (test_the_carry_equals_a_doubling_that_squares_inline). Only the run's
+    own P, O and ON are built, so ``_toeplitz`` misses once per distinct
+    (M, b) (test_a_cold_long_run_builds_w_once). M is never diagonalised, so
+    a defective M (critical damping) is no special case.
+
+    Step 0: a matmul may sum t, b0*I[0] and the impulse in any order, and
+    may fuse b0*I[0] with t in an FMA. So where the scan starts at block 0,
+    step 0 is written anew with the loop's own operations, t +
+    (increments[0] + b0*I[0]) for u and t + b1*I[0] for v in Python floats,
+    as step() sums them, and equals step() bit for bit
+    (test_hold_current_matches_dense_simulate).
 
     Only the blocks from first // CHUNK * CHUNK on become states. The states
     written are those of a scan from block 0 bit for bit
     (test_a_scan_from_a_later_block_writes_the_whole_scans_bits): the start
     is a whole chunk because OpenBLAS can give a row other bits at another
     place in a matmul. The bits follow the BLAS kernel, in the end states,
-    the carry's rounds and P's squarings as in the Toeplitz level.
+    the carry's rounds and P's squarings as in the Toeplitz level. The rows
+    before the first chunk's are not written.
 
-    Where the states land: the end states are read first, then each chunk's
-    matmul reads its folded inputs, CHUNK blocks on in X, and writes their
-    states CHUNK blocks earlier, at the blocks' own rows, into headroom or
-    inputs that the end states' matmul or the previous chunk has already
-    read; a run shorter than a chunk writes only its own blocks of the
-    headroom. No matmul's output shares memory with its input, so numpy
-    copies no input first
-    (test_no_matmul_of_the_scan_writes_over_its_input). The rows before the
-    first chunk's keep their values; the inputs past the states may be
-    folded. ``_loop_scan`` runs the same recurrence in place, on the inputs'
-    own rows, with one plain step per row.
+    One buffer: the run takes one np.empty of 2*L*CHUNK + max(w, 2*L) *
+    n_blocks floats, for w columns of G, with the states at its start and G
+    at its end; for a run of currents alone that is the size of the (u, v)
+    pairs behind one chunk of headroom. Each chunk's matmul reads CHUNK rows
+    of G and writes their states at the blocks' own rows, which end at or
+    before the first row of G not yet read, so no matmul's output shares
+    memory with its input and numpy copies no input first
+    (test_no_matmul_of_the_scan_writes_over_its_input); a run shorter than
+    a chunk writes only its own blocks at the start. The states and the
+    inputs share one array because with an array each, glibc's dynamic mmap
+    and trim thresholds hand pages back between a sweep's points, and the
+    next point faults them in anew
+    (test_a_warm_sweep_point_allocates_its_drive_and_one_buffer).
+    ``_loop_scan`` runs the same recurrence in place on (u, v) inputs, with
+    one plain step per row.
 
     Precision: the bounds cover the whole scan, the Toeplitz level's sums
     and the carry's rounds and P's squarings together. Within SCAN_RTOL =
@@ -740,21 +774,41 @@ def _blocked_scan(m, X, u, v, first=0):
     n_steps * eps / 8 of the largest |state| of the exact recurrence on M's
     float entries (test_scan_against_the_exact_recurrence, up to 300k steps).
     """
-    F = X.reshape(-1, 2 * BLOCK)  # a view, so the scan writes into X
-    n_blocks = len(F) - CHUNK
-    P, W, WN = _toeplitz(m)
+    L = BLOCK
+    n_blocks = -(-n_steps // L)
+    P, O, ON = _toeplitz(m, b)
+    lo = L if increments is None else 0  # the rows of O, and the columns of G, of this run
+    hi = L + 2 if currents is None else 2 * L + 2
+    w, c = hi - lo, L - lo  # G's width, and the first of its two t columns
+    buf = np.empty(2 * L * CHUNK + max(w, 2 * L) * n_blocks)
+    F = buf[:2 * L * n_blocks].reshape(n_blocks, 2 * L)  # block i's states, (u, v) per step
+    G = buf[len(buf) - w * n_blocks:].reshape(n_blocks, w)
+    G[-1] = 0.0  # the pad: zero past the run
+    q = n_steps // L  # whole blocks
+    for j, x in ((0, increments), (c + 2, currents)):
+        if x is not None:
+            G[:q, j:j + L] = x[:q * L].reshape(q, L)
+            G[q:, j:j + n_steps - q * L] = x[q * L:]
+    a = c + 2 if increments is None else 0  # M e reads the inputs' columns [a, z) alone,
+    z = c if currents is None else w
+    if a < c < z:  # and the t columns between two kinds as zero
+        G[:, c:c + 2] = 0.0
     m00, m01, m10, m11 = m
+    t = m00 * u + m01 * v, m10 * u + m11 * v  # the loop's own operations: block 0's t
     S = np.empty((n_blocks, 2))  # M s, then M e of blocks 0..n_blocks-2; each t after
-    S[0] = m00 * u + m01 * v, m10 * u + m11 * v  # the loop's own operations: step 0 is step()'s
-    np.matmul(F[CHUNK:-1], WN, out=S[1:])
+    S[0] = t
+    np.matmul(G[:-1, a:z], ON[lo + a:lo + z], out=S[1:])
     for r in range((n_blocks - 1).bit_length()):  # d = 2**r = 1, 2, 4, ... < n_blocks
         d = 1 << r
         S[d:] += np.dot(S[:-d], P[r])  # the right side is read first
     start = first // CHUNK * CHUNK
-    F[CHUNK + start:, 0] += S[start:, 0]
-    F[CHUNK + start:, 1] += S[start:, 1]
+    G[start:, c:c + 2] = S[start:]
     for i in range(start, n_blocks, CHUNK):
-        np.matmul(F[CHUNK + i:2 * CHUNK + i], W, out=F[i:min(i + CHUNK, n_blocks)])
+        np.matmul(G[i:i + CHUNK], O[lo:hi], out=F[i:i + CHUNK])
+    if start == 0:  # step 0 as step() sums it
+        k0, i0 = (0.0 if x is None else float(x[0]) for x in (increments, currents))
+        F[0, :2] = t[0] + (k0 + b[0] * i0), t[1] + b[1] * i0
+    return F.reshape(-1, 2)
 
 
 def _loop_scan(m, X, u, v):
@@ -804,21 +858,25 @@ def resonance_response(params: RafParams, drive_frequency: float,
     naming it (test_rejects_bad_arguments_at_entry): so does a
     drive_frequency for which 1/dt overflows, and a duration that rounds to
     fewer than 2 steps (test_rejects_a_duration_under_two_steps) or to more
-    steps than a float holds.
+    than MAX_STEPS (test_a_count_past_numpys_index_range_is_named). Where
+    1/dt overflows at the params' resonance frequency, above the drive's,
+    the message names that frequency and the params
+    (test_an_infinite_resonance_frequency_names_the_params).
     """
     drive_frequency = _check_positive("drive_frequency", drive_frequency)
     drive_amplitude = _check_finite("drive_amplitude", drive_amplitude)
     duration = _check_positive("duration", duration)
     f_ref = max(drive_frequency, params.resonance_frequency)
-    try:  # 1/dt can overflow to inf, giving dt = 0
-        dt = 1.0 / (64.0 * f_ref)
-        steps = duration / dt
-    except ZeroDivisionError:
-        raise ValueError(f"drive_frequency must be small enough that 1/dt is finite, got "
-                         f"{drive_frequency!r}, with 1/dt = 64 * {f_ref!r}") from None
-    if not math.isfinite(steps):
-        raise ValueError(f"duration must be a finite number of steps, got {duration!r}: "
-                         f"duration / dt overflows at dt = {dt!r}")
+    dt = 1.0 / (64.0 * f_ref)  # 0 where 1/dt overflows to inf
+    if dt == 0.0:
+        name = ("drive_frequency" if f_ref == drive_frequency
+                else f"the resonance frequency of {params!r}")
+        raise ValueError(f"{name} must be small enough that 1/dt is finite, got {f_ref!r}, "
+                         f"with 1/dt = 64 * {f_ref!r}")
+    steps = duration / dt
+    if not steps <= MAX_STEPS:  # inf too
+        raise ValueError(f"duration must be at most MAX_STEPS = {MAX_STEPS} steps of dt = "
+                         f"{dt!r}, got {duration!r}: duration / dt = {steps!r}")
     n_steps = int(round(steps))
     if n_steps < 2:
         raise ValueError(f"duration must cover at least 2 steps, got {duration!r}: "

@@ -28,6 +28,7 @@ import rafsim
 from rafsim.core import (
     BLOCK,
     CHUNK,
+    MAX_STEPS,
     ROUNDS,
     InputSignal,
     NeuronState,
@@ -138,16 +139,25 @@ def loop_reference(p, signal, dt, n_steps, state=NeuronState()):
     return X[:, 0], X[:, 1]
 
 
-def scan_buffer(inputs):
-    """(X, h): inputs of whole blocks behind h rows of headroom, as _run lays out a scan.
+KINDS = ("mixed", "currents", "impulses")  # the scan's three kinds of input
 
-    h is one chunk, CHUNK * BLOCK rows. The headroom is NaN, so a state that
-    reads it is not finite; _blocked_scan writes the states into X[:len(inputs)].
-    """
-    h = CHUNK * BLOCK
-    X = np.full((h + len(inputs), 2), np.nan)
-    X[h:] = inputs
-    return X, h
+
+def kind_inputs(kind, currents, increments):
+    """(currents, increments) of one input kind: the other is None."""
+    return (None if kind == "impulses" else currents, None if kind == "currents" else increments)
+
+
+def nan_empty(monkeypatch):
+    """Make np.empty fill its arrays with NaN, so a value read before it is written shows."""
+    empty = np.empty
+
+    def filled(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", filled)
+    assert np.isnan(np.empty(2)).all()
 
 
 def assert_matches_loop(p, signal, dt, n_steps, state=NeuronState()):
@@ -521,13 +531,19 @@ class TestStep:
 
     @settings(max_examples=200, deadline=None)
     @given(raf_params(), st.floats(1e-6, 1e-2), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
-           st.sampled_from([0.0, 0.7, -1e-3]), st.sampled_from([0.0, 3.0, -250.0]))
-    def test_hold_current_matches_dense_simulate(self, p, dt, u0, v0, impulse, current):
+           st.sampled_from([0.0, 0.7, -1e-3]), st.sampled_from([0.0, 3.0, -250.0]),
+           st.sampled_from(KINDS), st.sampled_from([1, 2 * BLOCK + 3]))
+    def test_hold_current_matches_dense_simulate(self, p, dt, u0, v0, impulse, current, kind,
+                                                 n_steps):
+        # step 0 of a run of each input kind, one step long or three blocks:
         # the impulse and the held current are summed before they meet M x
-        state, _ = step(NeuronState(u0, v0), p, impulse, dt, hold_current=current)
-        trace = simulate(p, InputSignal(dense=[current], events=[(0.0, impulse)]), dt, 1,
+        dense, events = kind_inputs(kind, np.full(n_steps, current), [(0.0, impulse)])
+        state, _ = step(NeuronState(u0, v0), p, 0.0 if events is None else impulse, dt,
+                        hold_current=0.0 if dense is None else current)
+        trace = simulate(p, InputSignal(dense=dense, events=events), dt, n_steps,
                          initial_state=NeuronState(u0, v0))
-        assert state.u == trace.u[0] and state.v == trace.v[0]
+        assert (np.array([state.u, state.v]).tobytes()
+                == np.array([trace.u[0], trace.v[0]]).tobytes())
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"input_increment": math.nan}, "input_increment"),
@@ -792,10 +808,9 @@ class TestScanKernel:
         signal = InputSignal(dense=currents,
                              events=[(1100.0, -1e308), (2000.0, 1e308), (2001.0, 1e308)])
         m, b = _propagator(p, 1.0)
-        X, h = scan_buffer(np.zeros((n_steps, 2)))
-        _forcing(b, currents, signal.impulse_increments(1.0, n_steps), X[h:])
         with np.errstate(over="ignore", invalid="ignore"):
-            _blocked_scan(m, X, 0.0, 0.0)
+            X = _blocked_scan(m, b, n_steps, currents, signal.impulse_increments(1.0, n_steps),
+                              0.0, 0.0)
         assert not np.isfinite(X[2 * BLOCK**2 - 1]).all()  # the kernel overflows
         ref_u, ref_v = loop_reference(p, signal, 1.0, n_steps)
         assert np.isfinite(ref_u).all() and np.isfinite(ref_v).all()
@@ -851,23 +866,19 @@ class TestScanKernel:
                     [resonance_response(sweep, f, 1.5, duration) for f, duration in points])
 
         expected = run()
-        empty = np.empty
-
-        def nan_empty(*args, **kwargs):
-            out = empty(*args, **kwargs)
-            out.fill(np.nan)
-            return out
-
-        monkeypatch.setattr(np, "empty", nan_empty)
-        assert np.isnan(np.empty(2)).all()
+        nan_empty(monkeypatch)
         assert run() == expected
 
-    def test_no_matmul_of_the_scan_writes_over_its_input(self, monkeypatch):
-        # each chunk's states land one headroom before its inputs, in rows
-        # already read, so numpy never copies a matmul's input first: a run of
-        # 4 chunks, and a sweep point whose window starts in chunk 1
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_matmul_of_the_scan_writes_over_its_input(self, monkeypatch, kind):
+        # each chunk's states end at or before the first input row not yet
+        # read, in the run's one buffer, so numpy never copies a matmul's
+        # input first: a run of 4 chunks of each input kind, and a sweep
+        # point whose window starts in chunk 1
         p = RafParams(omega_u=TWO_PI * 200, omega_v=TWO_PI * 200, tau_u=0.05, tau_v=0.05)
         dt, n_steps = 1.0 / (64 * 200), 3 * CHUNK * BLOCK + 5
+        mixed = mixed_input(p, dt, n_steps, 9)
+        dense, events = kind_inputs(kind, mixed.dense, mixed.events)
         calls = []
         matmul = np.matmul
 
@@ -877,11 +888,39 @@ class TestScanKernel:
             return matmul(a, b, out=out)
 
         monkeypatch.setattr(np, "matmul", checked)
-        simulate(p, mixed_input(p, dt, n_steps, 9), dt, n_steps)
+        simulate(p, InputSignal(dense=dense, events=events), dt, n_steps)
         assert calls == [False] * 5  # the end states, then 4 chunks
         calls.clear()
         resonance_response(p, 180.0, 1.0, n_steps * dt)  # the window from step 7375, block 230
         assert calls == [False] * 4  # the end states, then chunks 1 to 3
+
+    def test_a_finite_run_never_calls_forcing(self, monkeypatch):
+        # the scan takes each kind of input as it is; only the repair forms
+        # the (u, v) inputs of the loop
+        p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
+        dt, n_steps = 1.0 / (64 * 250), 3 * CHUNK * BLOCK + 5
+        mixed = mixed_input(p, dt, n_steps, 10)
+        calls = []
+        forcing = rafsim.core._forcing
+
+        def counted(*args):
+            calls.append(args)
+            return forcing(*args)
+
+        monkeypatch.setattr(rafsim.core, "_forcing", counted)
+        for kind in (*KINDS, "none"):
+            dense, events = kind_inputs(kind, mixed.dense, mixed.events)
+            if kind == "none":
+                dense = events = None
+            simulate(p, InputSignal(dense=dense, events=events), dt, n_steps,
+                     initial_state=NeuronState(0.3, 0.1))
+        resonance_response(p, 180.0, 1.0, n_steps * dt)
+        assert calls == []
+        # the counter counts: a run that the loop repairs forms them once
+        signal = InputSignal(events=[(70.0, 1e308), (71.0, 1e308)])
+        simulate(RafParams(omega_u=0.0, omega_v=0.0), signal, 1.0, 100,
+                 initial_state=NeuronState(-1e308, 0.0))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("bad_input", [None, "inf_at_0", "inf_at_17", "overflow_at_40"])
     def test_loop_scan_is_the_plain_recurrence_on_every_row(self, bad_input):
@@ -906,16 +945,19 @@ class TestScanKernel:
         np.testing.assert_array_equal(X, ref)
         assert X[:n_ok].tobytes() == np.array(ref[:n_ok]).tobytes()
 
-    def test_simulate_allocates_at_most_four_arrays_of_its_length(self):
-        # the fresh buffers of a dense+events run: the scan's buffer of
-        # (u, v) pairs, two arrays of n floats, the binned impulses, one
-        # more, and little else
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_simulate_allocates_at_most_four_arrays_of_its_length(self, kind):
+        # the fresh buffers of a run: the scan's one buffer, two floats a
+        # step and two more a block for dense+events, the binned impulses,
+        # one more, and little else
         n = 100_000
         w = TWO_PI * 1e5
         p = RafParams(omega_u=w, omega_v=w, tau_u=2e4 / w, tau_v=2e4 / w)
         dt = 1.0 / (4096 * 1e5)
-        signal = mixed_input(p, dt, n, 4)
-        assert signal.dense is not None and len(signal.events) > 0
+        mixed = mixed_input(p, dt, n, 4)
+        signal = InputSignal(*kind_inputs(kind, mixed.dense, mixed.events))
+        assert (signal.dense is not None, len(signal.events) > 0) == (
+            kind != "impulses", kind != "currents")
         simulate(p, signal, dt, n)  # fills the propagator caches
         tracemalloc.start()
         try:
@@ -989,7 +1031,7 @@ class TestExactReference:
 
 
 class TestPropagator:
-    """The cached (m, b) per (params, dt), and (P, W, WN) per M."""
+    """The cached (m, b) per (params, dt), and (P, O, ON) per (m, b)."""
 
     def test_cold_cache_gives_the_same_bits_as_warm(self):
         p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
@@ -1035,12 +1077,12 @@ class TestPropagator:
         assert _propagator(p, 1e-4) == _propagator(q, 1e-4)
 
     def test_cache_holds_at_most_one_mib_of_w(self):
+        # O holds W's rows in the three kinds' layout: 2*L + 2 rows of 2*L
         p = RafParams(omega_u=1.0, omega_v=1.0)
-        m, _ = _propagator(p, 1e-3)
-        w_bytes = _toeplitz(m)[1].nbytes
-        assert w_bytes == (2 * BLOCK) ** 2 * 8
-        assert _toeplitz.cache_info().maxsize * w_bytes <= 2**20
-        assert _toeplitz(m)[2].nbytes == 2 * BLOCK * 2 * 8  # WN's 1 KiB besides
+        _, O, ON = _toeplitz(*_propagator(p, 1e-3))
+        assert O.nbytes == (2 * BLOCK + 2) * 2 * BLOCK * 8
+        assert _toeplitz.cache_info().maxsize * O.nbytes <= 2**20
+        assert ON.nbytes == (2 * BLOCK + 2) * 2 * 8  # ON's 1 KiB besides
 
     def test_a_cold_long_run_builds_w_once(self):
         # many more than BLOCK + 1 blocks, and the scan builds W for M alone
@@ -1091,11 +1133,15 @@ class TestPropagator:
             a, b, c, d = (m00 * a + m01 * c, m00 * b + m01 * d,
                           m10 * a + m11 * c, m10 * b + m11 * d)
         # the carry multiplies rows M s from the right, so P[0] holds (M^L)^T;
-        # WN's rows for step 0, which carry a block's first input one step past
-        # the block into the next M s, are the same L products
-        P, _, WN = _toeplitz((m00, m01, m10, m11))
+        # ON's rows for step 0, which carry a block's first input one step past
+        # the block into the next M s, are the same L products: the impulse
+        # row is P[0]'s first row, and the current row b0 times it plus b1
+        # times its second
+        b0, b1 = _propagator(p, dt)[1]
+        P, _, ON = _toeplitz((m00, m01, m10, m11), (b0, b1))
         assert P[0].tobytes() == np.array([[a, c], [b, d]]).tobytes()
-        assert WN[:2].tobytes() == P[0].tobytes()
+        assert ON[0].tobytes() == P[0][0].tobytes()
+        assert ON[BLOCK + 2].tobytes() == (b0 * P[0][0] + b1 * P[0][1]).tobytes()
 
     @pytest.mark.parametrize("critical", [False, True])
     def test_powers_are_the_matmul_chain(self, critical):
@@ -1106,7 +1152,7 @@ class TestPropagator:
         else:
             p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
             dt = 1.0 / (64 * 250)
-        P = _toeplitz(_propagator(p, dt)[0])[0]
+        P = _toeplitz(*_propagator(p, dt))[0]
         assert P.shape == (ROUNDS, 2, 2)
         PT = P[0].copy()
         for r in range(ROUNDS):
@@ -1115,55 +1161,74 @@ class TestPropagator:
 
     # one block and two, 2**k blocks and one more, so the last round sums
     # whole halves or adds one block; 512 blocks span four chunks
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n_blocks", [1, 2, 64, 65, 512, 513])
-    def test_the_carry_equals_a_doubling_that_squares_inline(self, n_blocks):
+    def test_the_carry_equals_a_doubling_that_squares_inline(self, n_blocks, kind):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.08, tau_v=0.08)
-        m, _ = _propagator(p, 1.0 / 6400)
-        inputs = np.random.default_rng(n_blocks).normal(size=(n_blocks * BLOCK, 2))
-        X, _ = scan_buffer(inputs)
-        _blocked_scan(m, X, 0.1, -0.2)
-        # on a copy of the inputs: the carry of M s with (M^L)^T squared by @
-        # in each round, the fold, then the same Toeplitz level, chunk by chunk
-        P, W, WN = _toeplitz(m)
-        F = inputs.reshape(n_blocks, 2 * BLOCK).copy()
+        m, b = _propagator(p, 1.0 / 6400)
+        n_steps = n_blocks * BLOCK
+        currents, increments = kind_inputs(
+            kind, *np.random.default_rng(n_blocks).normal(size=(2, n_steps)))
+        X = _blocked_scan(m, b, n_steps, currents, increments, 0.1, -0.2)
+        # on fresh copies of the inputs, one row a block of [impulses | t |
+        # currents] less the kind left out: the carry of M s with (M^L)^T
+        # squared by @ in each round, M e from the inputs' own columns, t
+        # written, the same Toeplitz level chunk by chunk, and step 0 summed
+        # as step() sums it
+        P, O, ON = _toeplitz(m, b)
+        lo = 0 if kind != "currents" else BLOCK
+        hi = 2 * BLOCK + 2 if kind != "impulses" else BLOCK + 2
+        G = np.zeros((n_blocks, 2 * BLOCK + 2))
+        if increments is not None:
+            G[:, :BLOCK] = increments.reshape(n_blocks, BLOCK)
+        if currents is not None:
+            G[:, BLOCK + 2:] = currents.reshape(n_blocks, BLOCK)
+        G = G[:, lo:hi].copy()
+        c = BLOCK - lo  # t's columns
+        # M e reads the inputs' columns, and the zero t columns between two kinds
+        a = c + 2 if kind == "currents" else 0
+        z = c if kind == "impulses" else None
         m00, m01, m10, m11 = m
         S = np.empty((n_blocks, 2))
         S[0] = m00 * 0.1 + m01 * -0.2, m10 * 0.1 + m11 * -0.2
-        S[1:] = F[:-1] @ WN
+        S[1:] = G[:-1, a:z] @ ON[lo:hi][a:z]
         PT, d = P[0], 1
         while d < n_blocks:
             S[d:] += S[:-d] @ PT
             PT, d = PT @ PT, 2 * d
-        F[:, :2] += S
-        states = np.concatenate([F[i:i + CHUNK] @ W for i in range(0, n_blocks, CHUNK)])
-        assert X[:len(inputs)].tobytes() == states.tobytes()
+        G[:, c:c + 2] = S
+        states = np.concatenate([G[i:i + CHUNK] @ O[lo:hi]
+                                 for i in range(0, n_blocks, CHUNK)]).reshape(-1, 2)
+        k0 = 0.0 if increments is None else increments[0]
+        i0 = 0.0 if currents is None else currents[0]
+        states[0] = S[0, 0] + (k0 + b[0] * i0), S[0, 1] + b[1] * i0
+        assert X.tobytes() == states.tobytes()
 
     def test_a_run_past_the_powers_fails_loudly(self, monkeypatch):
         # a run of 2**r blocks needs r rounds, and one more block another
         # round; with only 2 powers, 4 blocks run and 5 raise
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.08, tau_v=0.08)
-        m, _ = _propagator(p, 1.0 / 6400)
-        P, W, WN = _toeplitz(m)
-        inputs = np.random.default_rng(8).normal(size=(5 * BLOCK, 2))
-        whole, _ = scan_buffer(inputs[:4 * BLOCK])
-        _blocked_scan(m, whole, 0.1, -0.2)
-        monkeypatch.setattr(rafsim.core, "_toeplitz", lambda m: (P[:2], W, WN))
-        X, _ = scan_buffer(inputs[:4 * BLOCK])
-        _blocked_scan(m, X, 0.1, -0.2)
+        m, b = _propagator(p, 1.0 / 6400)
+        P, O, ON = _toeplitz(m, b)
+        currents, increments = np.random.default_rng(8).normal(size=(2, 5 * BLOCK))
+        n = 4 * BLOCK
+        whole = _blocked_scan(m, b, n, currents[:n], increments[:n], 0.1, -0.2)
+        monkeypatch.setattr(rafsim.core, "_toeplitz", lambda m, b: (P[:2], O, ON))
+        X = _blocked_scan(m, b, n, currents[:n], increments[:n], 0.1, -0.2)
         assert X.tobytes() == whole.tobytes()
         with pytest.raises(IndexError):
-            _blocked_scan(m, scan_buffer(inputs)[0], 0.1, -0.2)
+            _blocked_scan(m, b, 5 * BLOCK, currents, increments, 0.1, -0.2)
 
     def test_unused_powers_that_overflow_raise_no_warning(self):
         # M = [[1, -1e300], [0, 1]] is defective, and its powers grow by
         # 32 * 2**r * 1e300: P[23] overflows, and P[24] holds inf * 0 = NaN
         p = RafParams(omega_u=0.0, omega_v=1e300)
-        m, _ = _propagator(p, 1.0)
+        m, b = _propagator(p, 1.0)
         assert m == (1.0, -1e300, 0.0, 1.0)
         _toeplitz.cache_clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            P = _toeplitz(m)[0]
+            P = _toeplitz(m, b)[0]
         assert np.isfinite(P[:23]).all() and not np.isfinite(P[23:]).all(axis=(1, 2)).any()
         # a short run reads only finite powers and gives the loop's states
         assert_matches_loop(p, InputSignal(), 1.0, 4 * BLOCK, NeuronState(0.0, 1e-300))
@@ -1173,27 +1238,38 @@ class TestPropagator:
 
     @pytest.mark.parametrize("critical", [False, True])
     def test_w_rows_are_the_loops_response_to_a_unit_input(self, critical):
-        # row 2j + c of W holds the states (u, v) of each step of a block,
-        # interleaved, after a unit input on component c at step j, and row
-        # 2j + c of WN the state one step past the block, at step L
+        # the loop's states (u, v) of each step of a block, interleaved, after
+        # a unit input on component c at step j: O's impulse row j holds the
+        # response to c = 0, its t rows those to c = 0 and 1 at step 0, and
+        # its current row j b0 times the response to c = 0 plus b1 times the
+        # one to c = 1; the same row of ON holds the state one step past the
+        # block, at step L, and ON's t rows are zero
         if critical:
             p, dt = critical_params(TWO_PI * 377.0), 1e-4
         else:
             p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
             dt = 1.0 / (64 * 250)
         m = transition_terms(p.omega_u, p.omega_v, p.k_u, p.k_v, dt)
-        _, W, WN = _toeplitz(m)
+        b0, b1 = b = _propagator(p, dt)[1]
+        _, O, ON = _toeplitz(m, b)
+        assert O.shape == (2 * BLOCK + 2, 2 * BLOCK) and ON.shape == (2 * BLOCK + 2, 2)
         for j in range(BLOCK):
+            R = []
             for c in range(2):
                 X = np.zeros((BLOCK + 1, 2))
                 X[j, c] = 1.0
                 _loop_scan(m, X, 0.0, 0.0)
-                assert W[2 * j + c].tobytes() == X[:BLOCK].tobytes(), (j, c)
-                assert WN[2 * j + c].tobytes() == X[BLOCK].tobytes(), (j, c)
+                R.append(X.reshape(-1))
+                if j == 0:
+                    assert O[BLOCK + c].tobytes() == X[:BLOCK].tobytes(), c
+                    assert ON[BLOCK + c].tobytes() == bytes(16), c
+            current = b0 * R[0] + b1 * R[1]
+            for row, response in ((j, R[0]), (BLOCK + 2 + j, current)):
+                assert O[row].tobytes() == response[:2 * BLOCK].tobytes(), (j, row)
+                assert ON[row].tobytes() == response[2 * BLOCK:].tobytes(), (j, row)
 
     def test_cached_arrays_are_read_only(self):
-        m, _ = _propagator(RafParams(omega_u=1.0, omega_v=2.0), 1e-3)
-        for array in _toeplitz(m):
+        for array in _toeplitz(*_propagator(RafParams(omega_u=1.0, omega_v=2.0), 1e-3)):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
 
@@ -1238,24 +1314,71 @@ class TestResonanceResponse:
         assert (resonance_response(p, frequency, amplitude, duration)
                 == simulated_response(p, frequency, amplitude, duration))
 
-    def test_a_scan_from_a_later_block_writes_the_whole_scans_bits(self):
+    def test_a_scan_from_a_later_block_writes_the_whole_scans_bits(self, monkeypatch):
         # the scan starts at the chunk holding block first, so each row it
         # writes has the place it has in a whole scan's matmuls; OpenBLAS's
-        # Haswell kernel gives a row other bits at another place
+        # Haswell kernel gives a row other bits at another place. No matmul
+        # writes a state row before that chunk's
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.08, tau_v=0.08)
-        m, _ = _propagator(p, 1.0 / 6400)
+        m, b = _propagator(p, 1.0 / 6400)
         rng = np.random.default_rng(12)
         n_blocks = 3 * CHUNK + 5
-        inputs = rng.normal(size=(n_blocks * BLOCK, 2))
-        whole, _ = scan_buffer(inputs)
-        _blocked_scan(m, whole, 0.1, -0.2)
-        for first in range(0, n_blocks, 3):
-            X, _ = scan_buffer(inputs)
-            before = X.copy()
-            _blocked_scan(m, X, 0.1, -0.2, first)
-            start, end = first // CHUNK * CHUNK * BLOCK, len(inputs)
-            assert X[start:end].tobytes() == whole[start:end].tobytes(), first
-            assert X[:start].tobytes() == before[:start].tobytes(), first
+        n_steps = n_blocks * BLOCK - 7
+        outs = []
+        matmul = np.matmul
+
+        def recorded(a, b, out=None):
+            outs.append(out)
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        for kind in KINDS:
+            currents, increments = kind_inputs(kind, *rng.normal(size=(2, n_steps)))
+            whole = _blocked_scan(m, b, n_steps, currents, increments, 0.1, -0.2)
+            for first in range(0, n_blocks, 3):
+                outs.clear()
+                X = _blocked_scan(m, b, n_steps, currents, increments, 0.1, -0.2, first)
+                start = first // CHUNK * CHUNK * BLOCK
+                assert X[start:n_steps].tobytes() == whole[start:n_steps].tobytes(), (kind, first)
+                assert not any(np.shares_memory(out, X[:start]) for out in outs), (kind, first)
+
+    def test_a_warm_sweep_point_allocates_its_drive_and_one_buffer(self):
+        # the drive, n floats and its last row's pad, one scan buffer of two
+        # floats a step and one chunk of headroom, where the run's states and
+        # its currents lie together, and the window's |v|; a second array
+        # for the currents, one more float a step, would pass the bound
+        p = RafParams(omega_u=TWO_PI * 200, omega_v=TWO_PI * 200, tau_u=0.05, tau_v=0.05)
+        n = 40_000
+        duration = n / (64 * 200)
+        resonance_response(p, 180.0, 1.0, duration)  # fills the caches
+        tracemalloc.start()
+        try:
+            resonance_response(p, 180.0, 1.0, duration)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        R = math.isqrt(n) + 1
+        drive = 8 * R * -(-n // R)
+        buffer = 8 * (2 * BLOCK * CHUNK + 2 * BLOCK * -(-n // BLOCK))
+        window = 8 * (n - int(0.6 * n))
+        assert drive + buffer <= peak <= drive + buffer + window + 16 * 1024
+
+    def test_an_infinite_resonance_frequency_names_the_params(self):
+        # omega_u * omega_v overflows, so the resonance frequency is inf, and
+        # it, not the 1 Hz drive, sets dt = 1/(64 * inf) = 0
+        p = RafParams(omega_u=1e200, omega_v=1e200)
+        assert p.resonance_frequency == math.inf
+        match = re.escape(f"the resonance frequency of {p!r} must be small enough that 1/dt "
+                          f"is finite, got inf, with 1/dt = 64 * inf")
+        for frequency in (1.0, 1e307):
+            with pytest.raises(ValueError, match=f"^{match}$"):
+                resonance_response(p, frequency, 1.0, 1.0)
+        # a drive above a finite resonance frequency is named as before
+        q = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100)
+        with pytest.raises(ValueError, match=re.escape(
+                "drive_frequency must be small enough that 1/dt is finite, got 1e+307, "
+                "with 1/dt = 64 * 1e+307")):
+            resonance_response(q, 1e307, 1.0, 1.0)
 
     @pytest.mark.parametrize("amplitude, duration", [
         (1e308, 10.0),  # first non-finite at step 237, before the window at 384
@@ -1495,6 +1618,29 @@ class TestTypesAndValidation:
         good = signal.impulse_increments(1e-3, 3)
         assert good.dtype == np.float64
         assert good.tolist() == ([0.0, 0.0, 0.0] if events is None else [1.0, 0.0, 0.0])
+
+    def test_a_count_past_numpys_index_range_is_named(self):
+        # MAX_STEPS is the most steps whose largest scan buffer, 2*L*CHUNK
+        # floats and 2*L + 2 a block for dense+events, numpy can index in
+        # bytes; one step more takes a block more, which it cannot
+        intp_max = np.iinfo(np.intp).max
+        assert MAX_STEPS % BLOCK == 0
+        assert 8 * (2 * BLOCK * CHUNK + (2 * BLOCK + 2) * (MAX_STEPS // BLOCK)) <= intp_max
+        assert 8 * (2 * BLOCK * CHUNK + (2 * BLOCK + 2) * (MAX_STEPS // BLOCK + 1)) > intp_max
+        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100)
+        for n_steps in (MAX_STEPS + 1, 10**20, np.uint64(2**64 - 1)):
+            match = re.escape(f"n_steps must be at most MAX_STEPS = {MAX_STEPS}, got {n_steps!r}")
+            match = f"^{match}$"
+            with pytest.raises(ValueError, match=match):
+                simulate(p, InputSignal(dense=[1.0, 2.0], events=[(0.0, 1.0)]), 1e-4, n_steps)
+            for signal in (InputSignal(), InputSignal.impulse(1.0, 0.5)):
+                with pytest.raises(ValueError, match=match):
+                    signal.impulse_increments(1e-4, n_steps)
+        # dt = 1/(64 * 1e300): a second holds 6.4e301 steps
+        with pytest.raises(ValueError, match=re.escape(
+                f"duration must be at most MAX_STEPS = {MAX_STEPS} steps of dt = "
+                f"{1 / 6.4e301!r}, got 1.0: duration / dt = {1.0 / (1 / 6.4e301)!r}")):
+            resonance_response(p, 1e300, 1.0, 1.0)
 
     def test_trace_csv_roundtrip(self, tmp_path):
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100,
