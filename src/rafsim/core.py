@@ -525,37 +525,32 @@ def _propagator(params: RafParams, dt: float):
     return transition_terms(params.omega_u, params.omega_v, params.k_u, params.k_v, dt), b
 
 
-def _w_index(L):
-    """The (2*L, 2*L) gather that builds W from [0] + R.ravel(), R[k, c] = M^k e_c for k <= L.
-
-    Entry [2*j + c, 2*i + r] is 1 + 4*(i - j) + 2*c + r, the place of
-    R[i - j, c, r] = M^(i-j)[r, c], where i >= j, and 0, which reads the
-    zero, where i < j.
-    """
-    j, c, i, r = np.ogrid[:L, :2, :L, :2]
-    return np.where(i >= j, 1 + 4 * (i - j) + 2 * c + r, 0).reshape(2 * L, 2 * L)
-
-
-_W_INDEX = _w_index(BLOCK)
+# T[g, j] = Y.ravel()[_T_INDEX[g, j]]: the (2*L + 2) floats of input g's
+# response, in _toeplitz's Y, from 2*(L - j) floats past its start
+_T_INDEX = ((4 * BLOCK + 2) * np.arange(3)[:, None, None]
+            + 2 * (BLOCK - np.arange(BLOCK))[:, None] + np.arange(2 * BLOCK + 2))
 
 
 @functools.lru_cache(maxsize=31)
 def _toeplitz(m, b):
     """(P, O, ON) of the scan for the M with entries m and the b = (b0, b1), cached.
 
-    All three start from the reference loop's response to a unit input:
-    ``_loop_scan`` runs once per input component c on L + 1 zero inputs but
-    a 1 on c at step 0, from a zero state, so its states are
-    R[k, c] = M^k e_c, the powers multiplied out in the loop's own order of
-    operations, for L = BLOCK. R gives the block-Toeplitz matrix W of
-    M^0..M^(L-1) in step-major order, W[2*j + c, 2*i + r] = M^(i-j)[r, c],
-    which carries input c at step j of a block to state r at step i, in one
-    gather (``_W_INDEX``) from R behind one zero; and WN[2*j + c, r] =
-    R[L - j, c, r] = M^(L-j)[r, c], the unit response one step past the block.
+    All three are read from one array of the reference loop's responses to
+    a unit input, for L = BLOCK: ``_loop_scan`` runs once per input
+    component c on L + 1 zero inputs but a 1 on c at step 0, from a zero
+    state, so its states are M^k e_c, the powers multiplied out in the loop's
+    own order of operations. Y[g] holds L zero steps and then steps 0..L of
+    the response to input g, (u, v) per step: Y[c, L + k] = M^k e_c for e_0
+    and e_1, and Y[2] = b0*Y[0] + b1*Y[1], the response to b, a numpy
+    multiply and add. An input g at step j of a block reaches step i as
+    Y[g, L + i - j], zero where i < j, so its row over the block's steps
+    0..L, T[g, j], is one contiguous run of Y, 2*(L - j) floats past the
+    start of Y[g]; one gather (``_T_INDEX``) reads all 3*L runs. In the
+    names of the tests cited here, "w" means O's rows.
 
     P: the read-only (ROUNDS, 2, 2) array of the powers that
         ``_blocked_scan``'s carry reads, P[r] = (M^(L*2**r))^T in round r.
-        P[0] = R[L] = (M^L)^T (test_carry_is_m_multiplied_out_block_times),
+        P[0] = Y[:2, 2*L] = (M^L)^T (test_carry_is_m_multiplied_out_block_times),
         and each next power is the matmul P[r + 1] = P[r] @ P[r]
         (test_powers_are_the_matmul_chain), so round r reads P[r] with the
         bits its own squaring would give. ROUNDS = 48 powers cover every run
@@ -567,26 +562,26 @@ def _toeplitz(m, b):
         five-level paging. Powers that a short run never reads may overflow,
         for a defective M with a large omega_v*dt, and are built without a
         warning (test_unused_powers_that_overflow_raise_no_warning).
-    O: the read-only (2*L + 2, 2*L) operator of the scan's Toeplitz level. Its
-        rows take a block's inputs by kind, in three contiguous groups:
-        rows j < L are W[2*j], the impulse rows, which carry a unit added
-        to u at step j; rows L and L + 1 are W[0:2], the t rows, which carry
-        the block's t = M s, its start state times M, in at step 0; and rows
-        L + 2 + j are b0*W[2*j] + b1*W[2*j + 1], the current rows, which
-        carry a current held over step j, whose ZOH input is b times it.
-        So a run's currents enter the scan as they are, L to a block and
-        with no (b0*I, b1*I) pairs formed, and each run reads the contiguous
-        rows of its own inputs: [0, L + 2) for impulses alone, [L, 2*L + 2)
-        for currents alone, all of them for both and [L, L + 2) for none.
-        Every impulse and t row is the loop's response to a unit input bit
-        for bit by construction, and every current row b0 times its
-        response on u plus b1 times its response on v, a numpy multiply and
-        add (test_w_rows_are_the_loops_response_to_a_unit_input).
-    ON: the read-only (2*L + 2, 2) end-state rows in O's layout: WN[2*j],
-        two zero rows for t, and b0*WN[2*j] + b1*WN[2*j + 1]; each is the
-        loop's state at step L after the row's unit input, bit for bit
-        (same test), and a block's inputs times ON are M e, its end state
-        from zero times M, which the carry adds. ON[0] is P[0][0], the
+    O: the read-only (2*L + 2, 2*L) operator of the scan's Toeplitz level,
+        T's steps 0..L-1. Its rows take a block's inputs by kind, in three
+        contiguous groups: rows j < L are T[0, j], the impulse rows, which
+        carry a unit added to u at step j; rows L and L + 1 are T[0, 0] and
+        T[1, 0], the t rows, which carry the block's t = M s, its start
+        state times M, in at step 0; and rows L + 2 + j are T[2, j], the
+        current rows, which carry a current held over step j, whose ZOH
+        input is b times it. So a run's currents enter the scan as they
+        are, L to a block and with no (b0*I, b1*I) pairs formed, and each
+        run reads the contiguous rows of its own inputs: [0, L + 2) for
+        impulses alone, [L, 2*L + 2) for currents alone, all of them for
+        both and [L, L + 2) for none. Every impulse and t row is the loop's
+        response to a unit input bit for bit by construction, and every
+        current row b0 times its response on u plus b1 times its response
+        on v (test_w_rows_are_the_loops_response_to_a_unit_input).
+    ON: the read-only (2*L + 2, 2) end-state rows in O's layout: the same
+        rows at step L, T[g, j]'s last (u, v), with the two t rows zero;
+        each is the loop's state at step L after the row's unit input, bit
+        for bit (same test), and a block's inputs times ON are M e, its end
+        state from zero times M, which the carry adds. ON[0] is P[0][0], the
         same L products (test_carry_is_m_multiplied_out_block_times).
 
     The cache holds 31 entries, the most that a budget of 1 MiB of O allows
@@ -597,20 +592,19 @@ def _toeplitz(m, b):
     squares no power. A cold build runs the 47 squarings once per key.
     """
     L = BLOCK
-    R = np.zeros((L + 1, 2, 2))
-    R[0] = np.eye(2)  # the unit inputs at step 0
+    Y = np.zeros((3, 2 * L + 1, 2))
+    Y[0, L, 0] = Y[1, L, 1] = 1.0  # the unit inputs at step 0
     for c in (0, 1):
-        _loop_scan(m, R[:, c], 0.0, 0.0)
-    W = np.concatenate(([0.0], R.ravel()))[_W_INDEX]
-    WN = R[:0:-1].reshape(2 * L, 2)  # R[L - j, c, r] at [2*j + c, r]
-    b0, b1 = b
+        _loop_scan(m, Y[c, L:], 0.0, 0.0)
     P = np.empty((ROUNDS, 2, 2))
-    P[0] = R[L]
+    P[0] = Y[:2, 2 * L]
     with np.errstate(over="ignore", invalid="ignore"):  # _run handles a run that reads one
-        O = np.concatenate((W[0::2], W[0:2], b0 * W[0::2] + b1 * W[1::2]))
-        ON = np.concatenate((WN[0::2], np.zeros((2, 2)), b0 * WN[0::2] + b1 * WN[1::2]))
+        Y[2] = b[0] * Y[0] + b[1] * Y[1]  # the response to b
         for r in range(ROUNDS - 1):
             P[r + 1] = P[r] @ P[r]
+    T = Y.ravel()[_T_INDEX]  # T[g, j]: input g at step j, over the block's steps 0..L
+    O = np.concatenate((T[0, :, :2 * L], T[:2, 0, :2 * L], T[2, :, :2 * L]))
+    ON = np.concatenate((T[0, :, 2 * L:], np.zeros((2, 2)), T[2, :, 2 * L:]))
     P.flags.writeable = O.flags.writeable = ON.flags.writeable = False  # shared by every hit
     return P, O, ON
 

@@ -1077,7 +1077,7 @@ class TestPropagator:
         assert _propagator(p, 1e-4) == _propagator(q, 1e-4)
 
     def test_cache_holds_at_most_one_mib_of_w(self):
-        # O holds W's rows in the three kinds' layout: 2*L + 2 rows of 2*L
+        # O holds the impulse, t and current rows: 2*L + 2 rows of 2*L steps' (u, v)
         p = RafParams(omega_u=1.0, omega_v=1.0)
         _, O, ON = _toeplitz(*_propagator(p, 1e-3))
         assert O.nbytes == (2 * BLOCK + 2) * 2 * BLOCK * 8
@@ -1085,7 +1085,7 @@ class TestPropagator:
         assert ON.nbytes == (2 * BLOCK + 2) * 2 * 8  # ON's 1 KiB besides
 
     def test_a_cold_long_run_builds_w_once(self):
-        # many more than BLOCK + 1 blocks, and the scan builds W for M alone
+        # many more than BLOCK + 1 blocks, and the scan builds O for its key alone
         p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
         dt = 1.0 / (64 * 250)
         n_steps = 3 * BLOCK * (BLOCK + 1) + 7
@@ -1096,7 +1096,7 @@ class TestPropagator:
 
     def test_a_second_sweep_builds_no_w(self):
         # 31 points above resonance, each with a dt and an M of its own, as
-        # many as the benchmark's sweep has: all of their W stay cached
+        # many as the benchmark's sweep has: all of their O stay cached
         p = RafParams(omega_u=TWO_PI * 200, omega_v=TWO_PI * 200, tau_u=0.05, tau_v=0.05)
         freqs = [200.0 * 1.05**k for k in range(1, 32)]
         _toeplitz.cache_clear()
@@ -1236,21 +1236,32 @@ class TestPropagator:
         with pytest.raises(SimulationError, match="at step 1 "):
             simulate(p, InputSignal(), 1.0, 4 * BLOCK, initial_state=NeuronState(0.0, 1e8))
 
-    @pytest.mark.parametrize("critical", [False, True])
-    def test_w_rows_are_the_loops_response_to_a_unit_input(self, critical):
+    # the three branches of transition_terms, a damped rotation (disc > 0),
+    # the critical limit (disc = 0) and real modes (disc < 0); an undamped
+    # orbit at a coarse step, where b0 < 0; and omega_u = 0, where b1 = 0
+    @pytest.mark.parametrize("key", ["rotation", "critical", "overdamped", "coarse", "no_omega_u"])
+    def test_w_rows_are_the_loops_response_to_a_unit_input(self, key):
         # the loop's states (u, v) of each step of a block, interleaved, after
         # a unit input on component c at step j: O's impulse row j holds the
         # response to c = 0, its t rows those to c = 0 and 1 at step 0, and
         # its current row j b0 times the response to c = 0 plus b1 times the
         # one to c = 1; the same row of ON holds the state one step past the
         # block, at step L, and ON's t rows are zero
-        if critical:
-            p, dt = critical_params(TWO_PI * 377.0), 1e-4
-        else:
-            p = RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02, tau_v=0.05)
-            dt = 1.0 / (64 * 250)
+        p, dt = {
+            "rotation": (RafParams(omega_u=TWO_PI * 300, omega_v=TWO_PI * 200, tau_u=0.02,
+                                   tau_v=0.05), 1.0 / (64 * 250)),
+            "critical": (critical_params(TWO_PI * 377.0), 1e-4),
+            "overdamped": (RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100,
+                                     tau_u=1.0 / (6 * TWO_PI * 100)), 1e-4),
+            "coarse": (RafParams(omega_u=TWO_PI, omega_v=TWO_PI), 0.75),
+            "no_omega_u": (RafParams(omega_u=0.0, omega_v=1.0, tau_u=0.5), 1e-3),
+        }[key]
         m = transition_terms(p.omega_u, p.omega_v, p.k_u, p.k_v, dt)
         b0, b1 = b = _propagator(p, dt)[1]
+        if key == "coarse":
+            assert b0 < 0.0 < b1
+        if key == "no_omega_u":
+            assert b1 == 0.0
         _, O, ON = _toeplitz(m, b)
         assert O.shape == (2 * BLOCK + 2, 2 * BLOCK) and ON.shape == (2 * BLOCK + 2, 2)
         for j in range(BLOCK):
