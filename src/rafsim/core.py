@@ -40,10 +40,11 @@ __all__ = [
 
 BLOCK = 32  # steps per block of simulate's scan
 CHUNK = 128  # blocks per matmul of simulate's scan
-ROUNDS = 48  # carry rounds whose powers _toeplitz holds: runs of up to 2**48 blocks
-# the most steps of a run whose scan buffer, 2*BLOCK*CHUNK floats and at most
-# 2*BLOCK + 2 per block (see _blocked_scan), numpy can index in bytes
-MAX_STEPS = (np.iinfo(np.intp).max // 8 - 2 * BLOCK * CHUNK) // (2 * BLOCK + 2) * BLOCK
+# the most steps of a run: numpy's floor division is exact below a quotient of
+# 2**51, so every event of such a run is binned by its exact floor (see
+# InputSignal.impulse_increments)
+MAX_STEPS = 2**50
+ROUNDS = (MAX_STEPS // BLOCK - 1).bit_length()  # the carry's rounds in a run of MAX_STEPS: 45
 
 
 class SimulationError(RuntimeError):
@@ -113,9 +114,10 @@ def _check_count(name, value):
     int returned, as with _check_finite's float, so a numpy integer such as
     np.int8(100) or np.uint64(100) runs as int(value), never in its own
     type, whose arithmetic can wrap or raise
-    (test_accepts_a_numpy_integer_n_steps). A count past MAX_STEPS, whose
-    arrays numpy could not index, is named before anything is allocated
-    (test_a_count_past_numpys_index_range_is_named).
+    (test_accepts_a_numpy_integer_n_steps). A count past MAX_STEPS = 2**50,
+    the longest run whose every event numpy's floor division bins exactly
+    (see InputSignal.impulse_increments), is named before anything is
+    allocated (test_a_count_past_max_steps_is_named).
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
@@ -239,10 +241,15 @@ class InputSignal:
         """Per-step impulse amounts: an event at t lands in step floor(t/dt) of the exact quotient.
 
         numpy's floor division takes the exact remainder, so the step is
-        exact below a quotient of 2**51, and a larger quotient gives a step
-        past every horizon whose bincount fits in memory: an event at the
+        exact below a quotient of 2**51
+        (test_floor_division_is_exact_up_to_max_steps): an event at the
         float k*dt lands in step k if k*dt <= t and in step k-1 otherwise
-        (test_events_near_step_boundaries_bin_by_the_exact_floor).
+        (test_events_near_step_boundaries_bin_by_the_exact_floor). A run
+        holds at most MAX_STEPS = 2**50 steps, so every event inside it
+        lands in the step of its exact floor, and an event whose exact floor
+        is at or past the horizon is rejected, also where its quotient is
+        inexact, since the step is then at least 2**51 - 1
+        (test_an_event_on_the_horizon_of_max_steps_is_named).
         Amplitudes in one step are added in time order, ties in the order
         given (test_coincident_events_out_of_order_match_in_order_loop). An
         event at or past the horizon n_steps*dt raises ValueError
@@ -474,15 +481,20 @@ def step(state: NeuronState, params: RafParams, input_increment: float,
     It reads simulate's (m, b) from ``_propagator``, so it equals a one-step
     simulate bit for bit (test_hold_current_matches_dense_simulate) and
     fails wherever that fails, whatever hold_current is
-    (test_fails_alike_with_one_step_simulate_without_current). dt and both
-    inputs are checked up front and stepped as floats (see _as_float), dt
-    before the cache hashes it
+    (test_fails_alike_with_one_step_simulate_without_current). Only a
+    NeuronState, whose u and v entered as floats, is taken as the state:
+    any other object raises ValueError naming state
+    (test_a_state_that_is_not_a_neuron_state_is_named). dt and both inputs
+    are checked up front and stepped as floats (see _as_float), dt before
+    the cache hashes it
     (test_a_value_that_is_not_a_real_number_is_named_where_it_enters): a
     non-finite input raises ValueError naming it
     (test_rejects_a_non_finite_input). A new state that is not finite
     raises SimulationError naming it, the state before the step and both
     inputs (test_error_names_the_state_before_the_step_and_both_inputs).
     """
+    if not isinstance(state, NeuronState):
+        raise ValueError(f"state must be a NeuronState, got {state!r}")
     dt = _check_positive("dt", dt)
     input_increment = _check_finite("input_increment", input_increment)
     hold_current = _check_finite("hold_current", hold_current)
@@ -553,15 +565,15 @@ def _toeplitz(m, b):
         P[0] = Y[:2, 2*L] = (M^L)^T (test_carry_is_m_multiplied_out_block_times),
         and each next power is the matmul P[r + 1] = P[r] @ P[r]
         (test_powers_are_the_matmul_chain), so round r reads P[r] with the
-        bits its own squaring would give. ROUNDS = 48 powers cover every run
-        of up to 2**48 blocks, ceil(log2(n_blocks)) <= 48 rounds, and a
-        longer run raises IndexError in its last round
-        (test_a_run_past_the_powers_fails_loudly). No such run fits in
-        memory: its buffer, past 2**48 blocks of L (u, v) pairs, exceeds
-        2**57 bytes, the whole virtual address space of x86-64 with
-        five-level paging. Powers that a short run never reads may overflow,
-        for a defective M with a large omega_v*dt, and are built without a
-        warning (test_unused_powers_that_overflow_raise_no_warning).
+        bits its own squaring would give. ROUNDS = 45 powers cover a run of
+        MAX_STEPS = 2**50 steps, 2**45 blocks in ceil(log2(n_blocks)) = 45
+        rounds, so every count that _check_count passes
+        (test_a_count_past_max_steps_is_named). The carry reads only the
+        rounds its run needs, and a run past the powers would raise
+        IndexError in its last round (test_a_run_past_the_powers_fails_loudly).
+        Powers that a short run never reads may overflow, for a defective M
+        with a large omega_v*dt, and are built without a warning
+        (test_unused_powers_that_overflow_raise_no_warning).
     O: the read-only (2*L + 2, 2*L) operator of the scan's Toeplitz level,
         T's steps 0..L-1. Its rows take a block's inputs by kind, in three
         contiguous groups: rows j < L are T[0, j], the impulse rows, which
@@ -585,11 +597,11 @@ def _toeplitz(m, b):
         same L products (test_carry_is_m_multiplied_out_block_times).
 
     The cache holds 31 entries, the most that a budget of 1 MiB of O allows
-    at (2*L + 2) * 2*L floats each, with ON's 1 KiB and P's 1.5 KiB besides
-    (test_cache_holds_at_most_one_mib_of_w), so the 31 keys that a
+    at (2*L + 2) * 2*L floats each, with ON's 1 KiB and P's 1440 bytes
+    besides (test_cache_holds_at_most_one_mib_of_w), so the 31 keys that a
     resonance sweep cycles through (see ``_propagator``) stay cached from
     one sweep to the next (test_a_second_sweep_builds_no_w), and a warm run
-    squares no power. A cold build runs the 47 squarings once per key.
+    squares no power. A cold build runs the 44 squarings once per key.
     """
     L = BLOCK
     Y = np.zeros((3, 2 * L + 1, 2))
@@ -615,15 +627,19 @@ def simulate(params: RafParams, input_signal: InputSignal, dt: float,
 
     The events are binned by InputSignal.impulse_increments, and the run
     takes ``_run``, the path resonance_response shares. A bad n_steps or
-    dt, a dense input of another length or an event past the horizon
-    raises ValueError before the propagator is built, and a state that
-    leaves the finite range raises SimulationError (see ``_run``). z is
-    v >= theta. The run's fresh memory peaks at 4 * n_steps floats
+    dt, an initial_state that is neither None nor a NeuronState
+    (test_a_state_that_is_not_a_neuron_state_is_named), a dense input of
+    another length or an event past the horizon raises ValueError before
+    the propagator is built, and a state that leaves the finite range
+    raises SimulationError (see ``_run``). z is v >= theta. The run's fresh
+    memory peaks at 4 * n_steps floats
     (test_simulate_allocates_at_most_four_arrays_of_its_length), and it
     repeats bit for bit on one libm and one BLAS kernel.
     """
     n_steps = _check_count("n_steps", n_steps)
     dt = _check_positive("dt", dt)
+    if not (initial_state is None or isinstance(initial_state, NeuronState)):
+        raise ValueError(f"initial_state must be a NeuronState or None, got {initial_state!r}")
     currents = input_signal.dense
     if currents is not None and len(currents) != n_steps:
         raise ValueError(f"dense input has {len(currents)} samples, expected {n_steps}")
@@ -641,8 +657,8 @@ def _run(params, dt, n_steps, currents, increments, state=NeuronState(), first=0
     and increments (impulses added to u) are per-step arrays of n_steps
     values, or None for none. M and b come from ``_propagator``, which checks
     dt. ``_blocked_scan`` copies each kind of input as it is into its own
-    columns of the run's one buffer, and returns the states of the chunks
-    from the one holding step first on, step k at row k.
+    columns of the run's one buffer, and returns the run's n_steps rows,
+    step k at row k, which hold states from the chunk holding step first on.
 
     Repair: those states are checked once. If one is not finite,
     ``_forcing`` writes the per-step (u, v) inputs into the state rows, and
@@ -660,15 +676,14 @@ def _run(params, dt, n_steps, currents, increments, state=NeuronState(), first=0
     m, b = _propagator(params, dt)
     with np.errstate(over="ignore", invalid="ignore"):
         X = _blocked_scan(m, b, n_steps, currents, increments, state.u, state.v, first // BLOCK)
-        if not np.isfinite(X[first:n_steps]).all():
-            X = X[:n_steps]
+        if not np.isfinite(X[first:]).all():
             _forcing(b, currents, increments, X)
             _loop_scan(m, X, state.u, state.v)
             finite = np.isfinite(X).all(axis=1)
             if not finite.all():
                 raise SimulationError(f"non-finite state at step {int(np.argmin(finite))} "
                                       f"with {params!r}, dt={dt!r}")
-    return X[first:n_steps]
+    return X[first:]
 
 
 def _forcing(b, currents, increments, out):
@@ -693,7 +708,7 @@ def _forcing(b, currents, increments, out):
 
 
 def _blocked_scan(m, b, n_steps, currents, increments, u, v, first=0):
-    """The states of x[i] = M x[i-1] + f[i] from x[-1] = (u, v), an (n_blocks * L, 2) array.
+    """The states of x[i] = M x[i-1] + f[i] from x[-1] = (u, v), an (n_steps, 2) array.
 
     f[i] = (increments[i] + b0*I[i], b1*I[i]) for the currents I held over
     each step and the increments added to u, n_steps values each or None
@@ -802,7 +817,7 @@ def _blocked_scan(m, b, n_steps, currents, increments, u, v, first=0):
     if start == 0:  # step 0 as step() sums it
         k0, i0 = (0.0 if x is None else float(x[0]) for x in (increments, currents))
         F[0, :2] = t[0] + (k0 + b[0] * i0), t[1] + b[1] * i0
-    return F.reshape(-1, 2)
+    return F.reshape(-1, 2)[:n_steps]
 
 
 def _loop_scan(m, X, u, v):
@@ -852,7 +867,7 @@ def resonance_response(params: RafParams, drive_frequency: float,
     naming it (test_rejects_bad_arguments_at_entry): so does a
     drive_frequency for which 1/dt overflows, and a duration that rounds to
     fewer than 2 steps (test_rejects_a_duration_under_two_steps) or to more
-    than MAX_STEPS (test_a_count_past_numpys_index_range_is_named). Where
+    than MAX_STEPS (test_a_count_past_max_steps_is_named). Where
     1/dt overflows at the params' resonance frequency, above the drive's,
     the message names that frequency and the params
     (test_an_infinite_resonance_frequency_names_the_params).

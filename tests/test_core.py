@@ -16,6 +16,7 @@ import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1346,11 +1347,13 @@ class TestResonanceResponse:
         for kind in KINDS:
             currents, increments = kind_inputs(kind, *rng.normal(size=(2, n_steps)))
             whole = _blocked_scan(m, b, n_steps, currents, increments, 0.1, -0.2)
+            assert len(whole) == n_steps
             for first in range(0, n_blocks, 3):
                 outs.clear()
                 X = _blocked_scan(m, b, n_steps, currents, increments, 0.1, -0.2, first)
+                assert len(X) == n_steps
                 start = first // CHUNK * CHUNK * BLOCK
-                assert X[start:n_steps].tobytes() == whole[start:n_steps].tobytes(), (kind, first)
+                assert X[start:].tobytes() == whole[start:].tobytes(), (kind, first)
                 assert not any(np.shares_memory(out, X[:start]) for out in outs), (kind, first)
 
     def test_a_warm_sweep_point_allocates_its_drive_and_one_buffer(self):
@@ -1562,6 +1565,26 @@ class TestTypesAndValidation:
         with pytest.raises(ValueError, match="horizon"):  # one step fewer: the last event is past it
             signal.impulse_increments(dt, n_steps - 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(5e-324, 1e290), st.lists(st.integers(0, MAX_STEPS), min_size=1, max_size=20))
+    def test_floor_division_is_exact_up_to_max_steps(self, dt, ks):
+        # the premise of MAX_STEPS: below a quotient of 2**51 numpy's floor
+        # division gives the exact floor of k*dt and of its two neighbours;
+        # dt <= 1e290 keeps k*dt finite
+        times = [t for k in ks for t in (math.nextafter(k * dt, 0.0), k * dt,
+                                         math.nextafter(k * dt, math.inf))]
+        exact = [math.floor(Fraction(t) / Fraction(dt)) for t in times]
+        assert np.floor_divide(np.array(times), dt).tolist() == exact
+
+    def test_an_event_on_the_horizon_of_max_steps_is_named(self):
+        # the horizon is checked before the bincount, so nothing is allocated
+        dt = 0.25
+        t = MAX_STEPS * dt  # exact: its floor is MAX_STEPS
+        assert math.floor(Fraction(t) / Fraction(dt)) == MAX_STEPS
+        signal = InputSignal(events=[(0.0, 1.0), (t, 1.0)])
+        with pytest.raises(ValueError, match=re.escape(f"time {t!r} is at or past the horizon")):
+            signal.impulse_increments(dt, MAX_STEPS)
+
     def test_coincident_events_out_of_order_match_in_order_loop(self):
         rng = np.random.default_rng(11)
         dt, n_steps = 1e-4, 50
@@ -1630,14 +1653,14 @@ class TestTypesAndValidation:
         assert good.dtype == np.float64
         assert good.tolist() == ([0.0, 0.0, 0.0] if events is None else [1.0, 0.0, 0.0])
 
-    def test_a_count_past_numpys_index_range_is_named(self):
-        # MAX_STEPS is the most steps whose largest scan buffer, 2*L*CHUNK
-        # floats and 2*L + 2 a block for dense+events, numpy can index in
-        # bytes; one step more takes a block more, which it cannot
-        intp_max = np.iinfo(np.intp).max
+    def test_a_count_past_max_steps_is_named(self):
+        # a run of MAX_STEPS is whole blocks, the carry's powers cover its
+        # rounds, and its largest scan buffer, 2*L*CHUNK floats and 2*L + 2
+        # a block for dense+events, numpy can index in bytes
         assert MAX_STEPS % BLOCK == 0
-        assert 8 * (2 * BLOCK * CHUNK + (2 * BLOCK + 2) * (MAX_STEPS // BLOCK)) <= intp_max
-        assert 8 * (2 * BLOCK * CHUNK + (2 * BLOCK + 2) * (MAX_STEPS // BLOCK + 1)) > intp_max
+        assert (MAX_STEPS // BLOCK - 1).bit_length() <= ROUNDS
+        assert (8 * (2 * BLOCK * CHUNK + (2 * BLOCK + 2) * (MAX_STEPS // BLOCK))
+                <= np.iinfo(np.intp).max)
         p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100)
         for n_steps in (MAX_STEPS + 1, 10**20, np.uint64(2**64 - 1)):
             match = re.escape(f"n_steps must be at most MAX_STEPS = {MAX_STEPS}, got {n_steps!r}")
@@ -1861,6 +1884,20 @@ class TestNumbersEnterAsFloats:
         assert (new.u.hex(), new.v.hex()) == (trace.u[0].hex(), trace.v[0].hex())
         assert (type(state.u), type(new.u), type(new.v), type(spiked)) == (float, float,
                                                                           float, bool)
+
+    # a float32 namespace would step in float32, a NaN one pass entry, and a
+    # tuple raise AttributeError: only a NeuronState's floats enter
+    @pytest.mark.parametrize("state", [SimpleNamespace(u=np.float32(0.1), v=np.float32(0.2)),
+                                       (0.1, 0.2), SimpleNamespace(u=math.nan, v=0.2)],
+                             ids=["float32_namespace", "tuple", "nan_namespace"])
+    def test_a_state_that_is_not_a_neuron_state_is_named(self, state):
+        p = RafParams(omega_u=TWO_PI * 100, omega_v=TWO_PI * 100, tau_u=0.05)
+        with pytest.raises(ValueError, match="^" + re.escape(f"state must be a NeuronState, "
+                                                             f"got {state!r}")):
+            step(state, p, 0.0, 1e-3)
+        with pytest.raises(ValueError, match=re.escape(f"initial_state must be a NeuronState "
+                                                       f"or None, got {state!r}")):
+            simulate(p, InputSignal(), 1e-3, 100, initial_state=state)
 
     @pytest.mark.parametrize("value", [Decimal("0.001"), "0.001", None, 1e-3 + 0j,
                                        np.array(1e-3), [1e-3]],
